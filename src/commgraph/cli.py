@@ -291,7 +291,11 @@ def cmd_replay(args) -> int:
     payload = _envelope(args, "replay", {"alpha": str(case.alpha), "beta": str(case.beta)},
                         {"n": args.n, "long_run": args.long_run, "workers": args.workers},
                         result, None, time.perf_counter() - t0)
-    lines = [f"[{'ok' if s.passed else 'FAIL'}] {s.name}: {s.claim}" for s in report.steps]
+    lines = []
+    for s in report.steps:
+        lines.append(f"[{'ok' if s.passed else 'FAIL'}] {s.name}: {s.claim}")
+        if s.detail:
+            lines.append(f"    {s.detail}")
     for claim in report.imported_claims:
         lines.append(f"[imported] {claim}")
     lines.append(f"lower bound: {report.lower_bound} (passed: {report.passed})")

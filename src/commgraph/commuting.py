@@ -219,22 +219,29 @@ def _in_universe(t: PTrans, universe: Universe) -> bool:
     return not t.is_full()
 
 
-def _backtrack_images(a: PTrans, universe: Universe) -> list[tuple[int, ...]]:
-    """All image tuples commuting with ``a``, found by constraint-guided search.
+def _backtrack_images(
+    subjects: Sequence[PTrans], universe: Universe, budget: int | None = None
+) -> list[tuple[int, ...]]:
+    """All image tuples commuting with every subject, found by constraint-guided search.
 
-    Setting g(x) forces g(xa) = (g(x))a when that value is defined, and forces
-    g(xa) undefined otherwise; points outside dom(a) may not map into dom(a).
-    The search cost is proportional to the number of solutions, not to the
-    universe size.
+    Setting g(x) forces, for each subject s, g(xs) = (g(x))s when that value is
+    defined and g(xs) undefined otherwise; points outside dom(s) may not map
+    into dom(s).  Every subject prunes every branch, so the cost tracks the
+    size of the joint centralizer, not that of any one subject's centralizer
+    or of the universe.  A single subject is the one-element case.
+
+    With a ``budget``, BudgetExceededError is raised once the search has
+    visited more than that many nodes.
     """
-    n = a.n
-    a_img = a.images
+    n = subjects[0].n
+    imgs = [s.images for s in subjects]
     full_only = universe in (Universe.FULL, Universe.PERMUTATIONS)
     perm_only = universe is Universe.PERMUTATIONS
     NOT_SET = -2
     val = [NOT_SET] * n
     used = [0] * n
     solutions: list[tuple[int, ...]] = []
+    nodes = 0
 
     def try_assign(p: int, w: int, trail: list[int]) -> bool:
         stack = [(p, w)]
@@ -248,18 +255,19 @@ def _backtrack_images(a: PTrans, universe: Universe) -> list[tuple[int, ...]]:
             if u == UNDEF:
                 if full_only:
                     return False
-            elif perm_only and used[u]:
-                return False
-            if a_img[q] == UNDEF:
-                if u != UNDEF and a_img[u] != UNDEF:
+            else:
+                if perm_only and used[u]:
                     return False
+                for s in imgs:
+                    if s[q] == UNDEF and s[u] != UNDEF:
+                        return False
             val[q] = u
             trail.append(q)
             if u != UNDEF:
                 used[u] += 1
-            if a_img[q] != UNDEF:
-                forced = a_img[u] if (u != UNDEF and a_img[u] != UNDEF) else UNDEF
-                stack.append((a_img[q], forced))
+            for s in imgs:
+                if s[q] != UNDEF:
+                    stack.append((s[q], UNDEF if u == UNDEF else s[u]))
         return True
 
     def unwind(trail: list[int]) -> None:
@@ -269,6 +277,13 @@ def _backtrack_images(a: PTrans, universe: Universe) -> list[tuple[int, ...]]:
             val[q] = NOT_SET
 
     def dfs(pos: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(
+                f"backtracking search visited more than {budget} nodes; "
+                f"set {BUDGET_ENV_VAR} or pass long_run=True to allow it"
+            )
         while pos < n and val[pos] != NOT_SET:
             pos += 1
         if pos == n:
@@ -288,27 +303,38 @@ def _backtrack_images(a: PTrans, universe: Universe) -> list[tuple[int, ...]]:
 
 
 def centralizer(
-    a: PTrans,
+    a: PTrans | Sequence[PTrans],
     universe: Universe = Universe.ALL_PARTIAL,
     strategy: str = "auto",
     *,
     long_run: bool = False,
 ) -> list[PTrans]:
-    """Every element of the universe commuting with ``a``, sorted by element id."""
-    n = a.n
+    """Every element of the universe commuting with ``a``, sorted by element id.
+
+    ``a`` may also be a sequence of elements; the result is then their joint
+    centralizer.  The scan strategy is bounded by the element budget, the
+    backtrack strategy by the same number of search nodes; ``long_run``
+    lifts both.
+    """
+    subjects = [a] if isinstance(a, PTrans) else list(a)
+    if not subjects:
+        raise ValueError("a centralizer needs at least one element")
+    n = subjects[0].n
+    if any(s.n != n for s in subjects):
+        raise SizeMismatchError("the elements of a joint centralizer must share one ground set")
     if strategy == "auto":
         strategy = "scan" if universe_size(n, universe) <= element_budget() else "backtrack"
     if strategy == "scan":
         rows, ids = universe_elements(n, universe, long_run=long_run)
-        mask = commute_mask(rows, row_of(a))
+        mask = np.ones(len(rows), dtype=bool)
+        for s in subjects:
+            mask &= commute_mask(rows, row_of(s))
         picked = rows[mask]
         order = np.argsort(ids[mask])
         return [ptrans_of_row(picked[i], n) for i in order]
     if strategy != "backtrack":
         raise ValueError(f"unknown centralizer strategy {strategy!r}")
-    if n > 12:
-        raise BudgetExceededError(f"backtracking centralizer is limited to n <= 12, got n={n}")
-    sols = _backtrack_images(a, universe)
+    sols = _backtrack_images(subjects, universe, None if long_run else element_budget())
     elems = [PTrans(n, s) for s in sols]
     elems.sort(key=lambda t: t.encode())
     return elems

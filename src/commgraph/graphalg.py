@@ -148,13 +148,13 @@ def _expand_backtrack(ctx: _GraphContext, frontier: np.ndarray, dist: np.ndarray
     out = []
     for v in frontier:
         t = ctx.ptrans_at(int(v))
-        for sol in _backtrack_images(t, ctx.g.semigroup):
+        for sol in _backtrack_images([t], ctx.g.semigroup):
             u = PTrans(ctx.g.n, sol)
             uid = u.encode()
             pos = int(np.searchsorted(ctx.ids, uid))
             if pos >= len(ctx.ids) or ctx.ids[pos] != uid:
                 continue
-            if dist[pos] < 0:
+            if dist[pos] == -1:
                 dist[pos] = -2  # claimed this level, final value set by caller
                 if parent is not None:
                     parent[pos] = v

@@ -229,22 +229,24 @@ def test_criterion_10_upper_bound_constructors():
 def test_criterion_11_family_replays():
     t0 = time.perf_counter()
     ok = True
-    for n in (9, 10):
+    for n in (9, 10, 12, 14, 15, 16):
         rep = replay_lower_bound(witness_pair(n))
-        ok &= rep.passed and rep.lower_bound == 5
         ok &= len(rep.imported_claims) == 1  # full-transformation side, per design
         steps = {s.name: s for s in rep.steps}
         ok &= "move-graph certificate" in steps["no-common-neighbor"].method
+        ok &= "joint full-centralizer" in steps["no-common-neighbor"].method
         ok &= steps["middle-noncommuting"].passed  # the ef != fe check
+        if n == 10:
+            # the replay audits the imported full side and refutes it at n=10
+            ok &= not rep.passed and rep.lower_bound is None
+            ok &= not steps["no-common-neighbor"].passed
+            ok &= "4 3 2 1 8 7 6 5 10 9" in steps["no-common-neighbor"].detail
+        else:
+            ok &= rep.passed and rep.lower_bound == 5
     elapsed = time.perf_counter() - t0
-    report(11, "family replays (n=9, n=10) pass on move-graph certificates and "
-               "middle non-commutation; see the n=10 full-side audit note below",
+    report(11, "family replays (n=9, 12, 14, 15, 16) pass with an audited full side; "
+               "the n=10 replay refutes its imported claim and gives no bound",
            ok and elapsed < 10, elapsed)
-    print(
-        "            note: witness.audit_imported_full_side refutes the imported "
-        "full-transformation claim at n=10 (tests/test_witness.py documents the "
-        "counterexample); the machine-checked steps above are unaffected."
-    )
 
 
 @pytest.mark.longrun

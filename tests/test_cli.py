@@ -99,9 +99,18 @@ class TestCommands:
         assert "lower bound: 5 (passed: True)" in out
 
     def test_replay_family_prints_import(self, capsys):
+        # the n=10 replay audits its imported claim and refutes it
         code, out, _ = run_cli(capsys, "replay", "--n", "10")
-        assert code == 0
+        assert code == 1
         assert "[imported]" in out
+        assert "[FAIL] no-common-neighbor" in out
+        assert "4 3 2 1 8 7 6 5 10 9" in out
+        assert "lower bound: None (passed: False)" in out
+
+    def test_replay_n14_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "replay", "--n", "14")
+        assert code == 0
+        assert "lower bound: 5 (passed: True)" in out
 
     def test_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--a", "(1 2 3 4)", "--b", "(1 2 3 4)^2")

@@ -7,6 +7,7 @@ from commgraph import (
     CommGraph,
     NotAVertexError,
     PTrans,
+    SizeMismatchError,
     Universe,
     center,
     centralizer,
@@ -19,7 +20,14 @@ from commgraph import (
     point_map,
     power,
 )
-from commgraph.commuting import center_ids, commute_mask, is_vertex, row_of, universe_elements
+from commgraph.commuting import (
+    _backtrack_images,
+    center_ids,
+    commute_mask,
+    is_vertex,
+    row_of,
+    universe_elements,
+)
 
 from oracles import commutes_naive, to_dict
 
@@ -166,6 +174,48 @@ class TestCentralizer:
             assert got == brute
 
 
+class TestJointCentralizer:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_scan_mask_intersection(self, n):
+        rng = random.Random(100 + n)
+        for universe in Universe:
+            rows, ids = universe_elements(n, universe)
+            for _ in range(30):
+                a = PTrans.decode(rng.randrange((n + 1) ** n), n)
+                if rng.random() < 0.5:
+                    b = rng.choice(centralizer(a, Universe.ALL_PARTIAL, "scan"))
+                else:
+                    b = PTrans.decode(rng.randrange((n + 1) ** n), n)
+                mask = commute_mask(rows, row_of(a)) & commute_mask(rows, row_of(b))
+                got = sorted(PTrans(n, s).encode() for s in _backtrack_images([a, b], universe))
+                assert got == sorted(ids[mask].tolist())
+                assert centralizer([a, b], universe, "backtrack") == \
+                    centralizer([a, b], universe, "scan")
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_filtered_single_centralizer(self, n):
+        # the single-subject centralizer filtered by the second subject is
+        # the enumeration the joint search replaced; it stays as the oracle
+        rng = random.Random(200 + n)
+        for universe in (Universe.FULL, Universe.PERMUTATIONS, Universe.ALL_PARTIAL):
+            for _ in range(8):
+                a = PTrans(n, tuple(rng.randrange(n) for _ in range(n)))
+                if universe is Universe.PERMUTATIONS:
+                    b = PTrans(n, tuple(rng.sample(range(n), n)))
+                else:
+                    b = power(a, rng.randrange(2, 5)) if rng.random() < 0.5 else \
+                        PTrans(n, tuple(rng.randrange(n) for _ in range(n)))
+                joint = centralizer([a, b], universe, "backtrack")
+                oracle = [t for t in centralizer(a, universe, "backtrack") if commutes(b, t)]
+                assert joint == oracle
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError):
+            centralizer([], Universe.FULL)
+        with pytest.raises(SizeMismatchError):
+            centralizer([ALPHA4, identity(5)], Universe.FULL, "backtrack")
+
+
 class TestNeighbors:
     def test_four_cycle_has_two_neighbors(self):
         g = CommGraph(4)
@@ -198,6 +248,14 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("COMMGRAPH_BUDGET_ELEMS", "3000000")
     check_scan_budget(7, Universe.ALL_PARTIAL)
     check_scan_budget(7, Universe.ALL_PARTIAL, long_run=True)
+
+
+def test_backtrack_node_budget(monkeypatch):
+    monkeypatch.setenv("COMMGRAPH_BUDGET_ELEMS", "50")
+    with pytest.raises(BudgetExceededError):
+        centralizer(identity(4), Universe.ALL_PARTIAL, "backtrack")
+    lifted = centralizer(identity(4), Universe.ALL_PARTIAL, "backtrack", long_run=True)
+    assert len(lifted) == 5**4
 
 
 def test_universe_sizes():

@@ -2,8 +2,10 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from commgraph import graphalg
 from commgraph import (
     BudgetExceededError,
     CommGraph,
@@ -97,6 +99,25 @@ class TestDistance:
     def test_strategies_agree(self, g4):
         assert bfs_distance(g4, ALPHA, BETA, strategy="backtrack") == 4
         assert bfs_distance(g4, ALPHA, BETA, strategy="scan") == 4
+
+    def test_backtrack_levels_distinct_and_match_scan(self, g4, monkeypatch):
+        levels = []
+        expand = graphalg._expand_backtrack
+
+        def recording(*args):
+            out = expand(*args)
+            levels.append(out)
+            return out
+
+        monkeypatch.setattr(graphalg, "_expand_backtrack", recording)
+        ctx = graphalg._GraphContext(g4)
+        src = ctx.index_of(ALPHA)
+        back, _, _ = graphalg._bfs(ctx, src, strategy="backtrack")
+        scan, _, _ = graphalg._bfs(ctx, src, strategy="scan")
+        assert len(levels) >= 4
+        for level in levels:
+            assert len(np.unique(level)) == len(level)
+        assert np.array_equal(back, scan)
 
     def test_subgraph_relation_full_pairs(self):
         gP, gT = CommGraph(4), CommGraph(4, Universe.FULL)

@@ -278,11 +278,20 @@ class TestReplay:
             "lower-bound",
         ]
 
-    @pytest.mark.parametrize("n", [9, 10, 12])
+    @pytest.mark.parametrize("n", [9, 10, 12, 14, 15, 16])
     def test_family_cases_pass_with_explicit_import(self, n):
         report = replay_lower_bound(witness_pair(n))
-        assert report.passed and report.lower_bound == 5
         assert len(report.imported_claims) == 1
+        step = {s.name: s for s in report.steps}["no-common-neighbor"]
+        if n == 10:
+            # the replay audits the imported full side itself and refutes it:
+            # the involution commutes with both e and f (see the audit tests)
+            assert not report.passed and report.lower_bound is None
+            assert not step.passed
+            assert "4 3 2 1 8 7 6 5 10 9" in step.detail
+        else:
+            assert report.passed and report.lower_bound == 5
+            assert step.passed and step.detail == ""
 
     def test_report_serializes(self):
         d = replay_lower_bound(witness_pair(4)).to_dict()
@@ -314,8 +323,7 @@ class TestImportedFullSideAudit:
         # Known defect in the displayed n=10 witnesses: the block systems of e
         # and f are symmetric under one involution, which commutes with both,
         # giving a verified path of length 4 between the endpoints.  The
-        # replay's machine-checked steps still pass; this audit documents that
-        # the imported full-transformation claim is what fails.
+        # replay runs the same enumeration and fails its no-common-neighbor step.
         w = witness_pair(10)
         audit = audit_imported_full_side(w)
         assert not audit.holds
@@ -325,6 +333,15 @@ class TestImportedFullSideAudit:
         cert = PathCertificate.from_vertices([w.alpha, w.forced_e, gamma, w.forced_f, w.beta])
         assert verify_path(CommGraph(10), cert)
         assert verify_path(CommGraph(10, Universe.FULL), cert)
+
+    @pytest.mark.parametrize("n", [9, 10, 12, 15, 16])
+    def test_joint_full_centralizer_pinned(self, n):
+        w = witness_pair(n)
+        got = {str(t) for t in centralizer([w.forced_e, w.forced_f], Universe.FULL, "backtrack")}
+        expected = {str(identity(n))}
+        if n == 10:
+            expected.add("4 3 2 1 8 7 6 5 10 9")
+        assert got == expected
 
     def test_rejects_named_cases(self):
         with pytest.raises(ValueError):
