@@ -11,7 +11,6 @@ from .ptrans import (
     ElementId,
     PTrans,
     SizeMismatchError,
-    all_elements,
     compose,
     empty,
     identity,

@@ -222,7 +222,7 @@ def cmd_diameter(args) -> int:
     else:
         seeds = []
     rep = diameter(CommGraph(args.n, semigroup), mode=args.mode, seeds=seeds,
-                   workers=args.workers, long_run=args.long_run)
+                   long_run=args.long_run)
     result = {
         "exact": rep.exact,
         "diameter": rep.diameter,
@@ -286,7 +286,7 @@ def cmd_witness(args) -> int:
 def cmd_replay(args) -> int:
     t0 = time.perf_counter()
     case = witness_pair(args.n)
-    report = replay_lower_bound(case, long_run=args.long_run, workers=args.workers)
+    report = replay_lower_bound(case, long_run=args.long_run)
     result = report.to_dict()
     payload = _envelope(args, "replay", {"alpha": str(case.alpha), "beta": str(case.beta)},
                         {"n": args.n, "long_run": args.long_run, "workers": args.workers},
@@ -345,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         if strategy:
             p.add_argument("--strategy", choices=("auto", "scan", "backtrack"), default="auto")
         if workers:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted for compatibility and echoed in the output; "
+                                "has no effect")
 
     p = sub.add_parser("center", help="central elements of the semigroup")
     common(p, needs_n=True, semigroup=True)

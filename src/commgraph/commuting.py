@@ -56,6 +56,16 @@ def universe_size(n: int, universe: Universe) -> int:
     return (n + 1) ** n - n**n
 
 
+def pick_strategy(n: int, universe: Universe, strategy: str = "auto") -> str:
+    """Resolve a neighbor strategy: ``auto`` scans while the universe fits the
+    element budget and backtracks beyond it."""
+    if strategy == "auto":
+        return "scan" if universe_size(n, universe) <= element_budget() else "backtrack"
+    if strategy not in ("scan", "backtrack"):
+        raise ValueError(f"unknown neighbor strategy {strategy!r}")
+    return strategy
+
+
 def check_scan_budget(n: int, universe: Universe, *, long_run: bool = False) -> None:
     size = universe_size(n, universe)
     if long_run:
@@ -322,9 +332,7 @@ def centralizer(
     n = subjects[0].n
     if any(s.n != n for s in subjects):
         raise SizeMismatchError("the elements of a joint centralizer must share one ground set")
-    if strategy == "auto":
-        strategy = "scan" if universe_size(n, universe) <= element_budget() else "backtrack"
-    if strategy == "scan":
+    if pick_strategy(n, universe, strategy) == "scan":
         rows, ids = universe_elements(n, universe, long_run=long_run)
         mask = np.ones(len(rows), dtype=bool)
         for s in subjects:
@@ -332,8 +340,6 @@ def centralizer(
         picked = rows[mask]
         order = np.argsort(ids[mask])
         return [ptrans_of_row(picked[i], n) for i in order]
-    if strategy != "backtrack":
-        raise ValueError(f"unknown centralizer strategy {strategy!r}")
     sols = _backtrack_images(subjects, universe, None if long_run else element_budget())
     elems = [PTrans(n, s) for s in sols]
     elems.sort(key=lambda t: t.encode())

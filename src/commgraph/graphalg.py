@@ -1,15 +1,14 @@
 """Distances, components and diameters over the implicit commuting graph.
 
-BFS never materialises the graph except in exact-diameter mode; neighbor sets
-come either from vectorised whole-universe scans (fast at small n) or from the
-backtracking centralizer enumerator (wins when centralizers are tiny compared
-to the universe).
+BFS never materialises the graph except for the exact diameter of a connected
+graph; neighbor sets come either from vectorised whole-universe scans (fast at
+small n) or from the backtracking centralizer enumerator (wins when
+centralizers are tiny compared to the universe).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,10 +24,9 @@ from .commuting import (
     check_scan_budget,
     commute_masks_batch,
     commutes,
-    element_budget,
     is_vertex,
+    pick_strategy,
     ptrans_of_row,
-    universe_size,
     _backtrack_images,
     _universe_elements,
 )
@@ -117,14 +115,6 @@ class _GraphContext:
         return ptrans_of_row(self.rows[idx], self.g.n)
 
 
-def _choose_strategy(g: CommGraph, strategy: str) -> str:
-    if strategy == "auto":
-        return "scan" if universe_size(g.n, g.semigroup) <= element_budget() else "backtrack"
-    if strategy not in ("scan", "backtrack"):
-        raise ValueError(f"unknown neighbor strategy {strategy!r}")
-    return strategy
-
-
 def _expand_scan(ctx: _GraphContext, frontier: np.ndarray, dist: np.ndarray, parent: np.ndarray | None):
     """One BFS level via batched commute scans restricted to unvisited columns."""
     unvisited = np.nonzero(dist < 0)[0]
@@ -209,7 +199,8 @@ def bfs_distance(
         return 0
     ctx = _GraphContext(g)
     src, tgt = ctx.index_of(a), ctx.index_of(b)
-    dist, _, capped = _bfs(ctx, src, target=tgt, cap=cap, strategy=_choose_strategy(g, strategy))
+    strategy = pick_strategy(g.n, g.semigroup, strategy)
+    dist, _, capped = _bfs(ctx, src, target=tgt, cap=cap, strategy=strategy)
     if dist[tgt] >= 0:
         return int(dist[tgt])
     return EXCEEDS_CAP if capped else INFINITE
@@ -229,9 +220,8 @@ def shortest_path(
         return PathCertificate.from_vertices([a])
     ctx = _GraphContext(g)
     src, tgt = ctx.index_of(a), ctx.index_of(b)
-    dist, parent, _ = _bfs(
-        ctx, src, target=tgt, need_parents=True, strategy=_choose_strategy(g, strategy)
-    )
+    strategy = pick_strategy(g.n, g.semigroup, strategy)
+    dist, parent, _ = _bfs(ctx, src, target=tgt, need_parents=True, strategy=strategy)
     if dist[tgt] < 0:
         return None
     chain = [tgt]
@@ -253,7 +243,7 @@ def connected_components(g: CommGraph, strategy: str = "auto") -> ComponentSumma
     minimum-id vertices, components ordered by representative."""
     check_scan_budget(g.n, g.semigroup)
     ctx = _GraphContext(g)
-    strategy = _choose_strategy(g, strategy)
+    strategy = pick_strategy(g.n, g.semigroup, strategy)
     V = len(ctx.rows)
     labels = np.full(V, -1, dtype=np.int64)
     reps = []
@@ -296,10 +286,9 @@ def _adjacency(ctx: _GraphContext) -> np.ndarray:
     return adj
 
 
-def _ecc_block(adj: np.ndarray, sources: range) -> tuple[int, int, int, bool]:
-    """(ecc, source, target, all_reached) maximised over the sources, smallest ids on ties."""
+def _ecc_block(adj: np.ndarray, sources: range) -> tuple[int, int, int]:
+    """(ecc, source, target) maximised over the sources, smallest ids on ties."""
     best = (-1, -1, -1)
-    all_reached = True
     V = len(adj)
     for s in sources:
         visited = np.zeros(V, dtype=bool)
@@ -315,36 +304,25 @@ def _ecc_block(adj: np.ndarray, sources: range) -> tuple[int, int, int, bool]:
             visited |= nxt
             frontier = nxt
             last_new = np.nonzero(nxt)[0]
-        if not visited.all():
-            all_reached = False
         if level > best[0]:
             best = (level, s, int(last_new.min()))
-    return best[0], best[1], best[2], all_reached
-
-
-_WORKER_ADJ: np.ndarray | None = None
-
-
-def _diameter_worker_init(adj: np.ndarray) -> None:
-    global _WORKER_ADJ
-    _WORKER_ADJ = adj
-
-
-def _diameter_worker(args: tuple[int, int]) -> tuple[int, int, int, bool]:
-    lo, hi = args
-    assert _WORKER_ADJ is not None
-    return _ecc_block(_WORKER_ADJ, range(lo, hi))
+    return best
 
 
 def diameter(
     g: CommGraph,
     mode: str = "exact",
     seeds: Sequence[PTrans] = (),
-    workers: int = 1,
     long_run: bool = False,
     strategy: str = "auto",
 ) -> DiameterReport:
-    """Exact diameter by all-sources BFS, or a certified lower bound from seeds."""
+    """Exact diameter, or a certified lower bound from seeds.
+
+    Exact mode first partitions the vertices into components; a disconnected
+    graph is reported with its component count and sizes and no diameter.
+    Only a connected graph gets the all-sources eccentricity sweep over the
+    dense adjacency matrix.
+    """
     t0 = time.perf_counter()
     if mode == "exact":
         limit = 5 if g.semigroup is Universe.FULL else 4
@@ -353,29 +331,16 @@ def diameter(
                 f"exact diameter for this semigroup is budgeted to n <= {limit}; "
                 "pass long_run=True to force it"
             )
-        ctx = _GraphContext(g)
-        adj = _adjacency(ctx)
-        V = len(adj)
-        if workers > 1:
-            bounds = np.linspace(0, V, workers * 4 + 1, dtype=int)
-            spans = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
-            with multiprocessing.get_context("fork").Pool(
-                workers, initializer=_diameter_worker_init, initargs=(adj,)
-            ) as pool:
-                parts = pool.map(_diameter_worker, spans)
-        else:
-            parts = [_ecc_block(adj, range(0, V))]
-        best = min(parts, key=lambda p: (-p[0], p[1], p[2]))
-        connected = all(p[3] for p in parts)
-        if not connected:
-            comps = connected_components(g, strategy=strategy)
+        comps = connected_components(g, strategy=strategy)
+        if comps.count > 1:
             return DiameterReport(
                 g.n, g.semigroup, True, None, False, comps.count, comps.sizes, None,
                 time.perf_counter() - t0,
             )
-        ecc, s, t = best[0], best[1], best[2]
+        ctx = _GraphContext(g)
+        ecc, s, t = _ecc_block(_adjacency(ctx), range(len(ctx.rows)))
         return DiameterReport(
-            g.n, g.semigroup, True, ecc, True, 1, (V,),
+            g.n, g.semigroup, True, ecc, True, 1, comps.sizes,
             (ctx.ptrans_at(s), ctx.ptrans_at(t)), time.perf_counter() - t0,
         )
     if mode != "lower-only":
@@ -383,7 +348,7 @@ def diameter(
     if not seeds:
         raise ValueError("lower-only mode needs at least one seed vertex")
     ctx = _GraphContext(g)
-    strategy = _choose_strategy(g, strategy)
+    strategy = pick_strategy(g.n, g.semigroup, strategy)
     bound = -1
     witness: tuple[PTrans, PTrans] | None = None
     connected: bool | None = None

@@ -7,7 +7,7 @@ Elements are immutable.  Composition is the right action throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 UNDEF = -1
 
@@ -187,9 +187,3 @@ def idempotent_power(t: PTrans) -> PTrans:
     while not acc.is_idempotent():
         acc = compose(acc, t)
     return acc
-
-
-def all_elements(n: int) -> Iterator[PTrans]:
-    """All (n+1)^n partial transformations, in increasing id order."""
-    for value in range((n + 1) ** n):
-        yield PTrans.decode(value, n)

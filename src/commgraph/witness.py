@@ -9,7 +9,6 @@ corresponding argument computationally and reports one verdict per step.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -24,6 +23,7 @@ from .commuting import (
     commutes,
     decode_id_range,
     element_budget,
+    pick_strategy,
     row_of,
     universe_elements,
     universe_size,
@@ -422,33 +422,27 @@ class ReplayReport:
         }
 
 
-def _scan_span_worker(args: tuple[int, int, int, list]) -> np.ndarray:
-    n, lo, hi, subject_rows = args
-    rows = decode_id_range(n, lo, hi)
-    mask = np.ones(hi - lo, dtype=bool)
-    for u in subject_rows:
-        mask &= commute_mask(rows, u)
-    return lo + np.nonzero(mask)[0]
+SCAN_CHUNK = 1 << 20
 
 
-def scan_common_commuters(
-    n: int,
-    subjects: Sequence[PTrans],
-    *,
-    workers: int = 1,
-    chunk: int = 1 << 20,
-) -> list[int]:
+def scan_common_commuters(n: int, subjects: Sequence[PTrans]) -> list[int]:
     """Ids of every partial transformation commuting with all the subjects,
-    by a chunked (optionally parallel) sweep over the whole universe."""
+    by a sweep over the whole universe, SCAN_CHUNK ids at a time.
+
+    Each chunk is decoded from its ids and dropped after use, so memory stays
+    flat however large (n+1)^n is; this is the exhaustive oracle the n=8
+    long-run replay relies on.
+    """
     total = (n + 1) ** n
     subject_rows = [row_of(s) for s in subjects]
-    spans = [(n, lo, min(lo + chunk, total), subject_rows) for lo in range(0, total, chunk)]
-    if workers > 1 and len(spans) > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_scan_span_worker, spans)
-    else:
-        parts = [_scan_span_worker(s) for s in spans]
-    return [int(v) for part in parts for v in part]
+    out: list[int] = []
+    for lo in range(0, total, SCAN_CHUNK):
+        rows = decode_id_range(n, lo, min(lo + SCAN_CHUNK, total))
+        mask = np.ones(len(rows), dtype=bool)
+        for u in subject_rows:
+            mask &= commute_mask(rows, u)
+        out.extend((lo + np.nonzero(mask)[0]).tolist())
+    return out
 
 
 def _ids(elems: Sequence[PTrans]) -> set[int]:
@@ -467,9 +461,7 @@ def _exclusion_checks(t: PTrans, *, scan_ok: bool) -> tuple[bool, bool, str]:
     perm_strategy = "scan" if scan_ok else "backtrack"
     perms = centralizer(t, Universe.PERMUTATIONS, perm_strategy)
     perm_ok = _ids(perms) == {identity(n).encode()}
-    strict_strategy = (
-        "scan" if universe_size(n, Universe.STRICTLY_PARTIAL) <= element_budget() else "backtrack"
-    )
+    strict_strategy = pick_strategy(n, Universe.STRICTLY_PARTIAL)
     strict = centralizer(t, Universe.STRICTLY_PARTIAL, strict_strategy)
     strict_ok = _ids(strict) == {empty(n).encode()}
     gamma = certify_no_partial_connector(t, t)
@@ -555,7 +547,7 @@ def audit_imported_full_side(case: WitnessCase) -> FullSideAudit:
     return FullSideAudit(case, not extras, extras)
 
 
-def replay_lower_bound(case: WitnessCase, *, long_run: bool = False, workers: int = 1) -> ReplayReport:
+def replay_lower_bound(case: WitnessCase, *, long_run: bool = False) -> ReplayReport:
     """Re-derive every step of the distance lower bound for a witness case."""
     n = case.n
     alpha, beta, e, f = case.alpha, case.beta, case.forced_e, case.forced_f
@@ -639,7 +631,7 @@ def replay_lower_bound(case: WitnessCase, *, long_run: bool = False, workers: in
 
     imported: tuple[str, ...] = ()
     if case.family is WitnessFamily.N4:
-        common = scan_common_commuters(n, [e], workers=workers)
+        common = scan_common_commuters(n, [e])
         hits = {power(alpha, 2).encode(), power(alpha, 3).encode()} & set(common)
         add(
             "no-common-neighbor",
@@ -653,7 +645,7 @@ def replay_lower_bound(case: WitnessCase, *, long_run: bool = False, workers: in
         certs = []
         for k in range(2, n):
             gk = power(alpha, k)
-            common = set(scan_common_commuters(n, [gk, e], workers=workers))
+            common = set(scan_common_commuters(n, [gk, e]))
             if not common <= allowed:
                 bad_pairs.append(k)
             certs.append(certify_no_partial_connector(gk, e).gamma_connected)

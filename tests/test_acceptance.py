@@ -252,7 +252,7 @@ def test_criterion_11_family_replays():
 @pytest.mark.longrun
 def test_criterion_11_n8_exhaustive_scan_long():
     t0 = time.perf_counter()
-    rep = replay_lower_bound(witness_pair(8), long_run=True, workers=2)
+    rep = replay_lower_bound(witness_pair(8), long_run=True)
     steps = {s.name: s for s in rep.steps}
     ok = rep.passed and "exhaustive-scan" in steps["no-common-neighbor"].method
     report(11, "n=8 replay with the full 9^8 sweep passes", ok, time.perf_counter() - t0)

@@ -16,6 +16,7 @@ from commgraph import (
     PTrans,
     Universe,
     bfs_distance,
+    centralizer,
     connected_components,
     diameter,
     empty,
@@ -230,12 +231,6 @@ class TestDiameter:
         assert rep.diameter is None
         assert rep.component_count == 2
 
-    def test_workers_agree(self):
-        one = diameter(CommGraph(4), workers=1)
-        two = diameter(CommGraph(4), workers=2)
-        assert one.diameter == two.diameter
-        assert one.witness_pair == two.witness_pair
-
     def test_lower_only(self):
         rep = diameter(CommGraph(4), mode="lower-only", seeds=[ALPHA])
         assert not rep.exact
@@ -258,6 +253,45 @@ class TestDiameter:
         # 5 is prime, so the full-transformation graph is disconnected too
         rep = diameter(CommGraph(5, Universe.FULL))
         assert rep.connected is False
+
+    @pytest.mark.parametrize("n,semigroup", [
+        (2, Universe.ALL_PARTIAL), (3, Universe.ALL_PARTIAL),
+        (3, Universe.FULL), (4, Universe.FULL),
+    ])
+    def test_matches_networkx(self, n, semigroup):
+        g = CommGraph(n, semigroup)
+        ref = commuting_graph_nx(n, full_only=semigroup is Universe.FULL)
+        rep = diameter(g)
+        assert rep.exact
+        if nx.is_connected(ref):
+            assert rep.connected and rep.component_count == 1
+            assert rep.diameter == nx.diameter(ref)
+            a, b = rep.witness_pair
+            assert nx.shortest_path_length(ref, node_of(a), node_of(b)) == rep.diameter
+        else:
+            assert rep.connected is False and rep.diameter is None
+            assert rep.component_count == nx.number_connected_components(ref)
+            assert sorted(rep.component_sizes) == sorted(
+                len(c) for c in nx.connected_components(ref))
+
+    @pytest.mark.parametrize("g", [CommGraph(5, Universe.FULL), CommGraph(3)], ids=["T5", "P3"])
+    def test_disconnected_skips_dense_matrix(self, g, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("the dense adjacency matrix was built")
+
+        monkeypatch.setattr(graphalg, "_adjacency", refuse)
+        rep = diameter(g)
+        assert rep.connected is False and rep.component_count > 1
+
+
+@pytest.mark.parametrize("query", [
+    lambda s: centralizer(ALPHA, Universe.ALL_PARTIAL, s),
+    lambda s: bfs_distance(CommGraph(4), ALPHA, BETA, strategy=s),
+    lambda s: connected_components(CommGraph(3), strategy=s),
+], ids=["centralizer", "bfs_distance", "connected_components"])
+def test_unknown_strategy_rejected(query):
+    with pytest.raises(ValueError, match="unknown neighbor strategy"):
+        query("bogus")
 
 
 def test_infinite_constant():

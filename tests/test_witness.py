@@ -27,6 +27,7 @@ from commgraph import (
     verify_path,
     witness_pair,
 )
+from commgraph import witness
 from commgraph.witness import WitnessFamily, audit_imported_full_side, is_prime
 
 
@@ -304,10 +305,14 @@ class TestReplay:
         expected = {t.encode() for t in centralizer(w.forced_e, Universe.ALL_PARTIAL)}
         assert set(ids) == expected
 
-    def test_scan_workers_agree(self):
+    def test_scan_common_commuters_across_chunks(self, monkeypatch):
+        # 625 ids in chunks of 100: the last chunk is short
         w = witness_pair(4)
-        assert scan_common_commuters(4, [w.forced_e, w.alpha], workers=2, chunk=100) == \
-            scan_common_commuters(4, [w.forced_e, w.alpha])
+        whole = scan_common_commuters(4, [w.forced_e, w.alpha])
+        monkeypatch.setattr(witness, "SCAN_CHUNK", 100)
+        assert scan_common_commuters(4, [w.forced_e, w.alpha]) == whole
+        expected = [t.encode() for t in centralizer([w.forced_e, w.alpha], Universe.ALL_PARTIAL)]
+        assert whole == expected
 
 
 class TestImportedFullSideAudit:
