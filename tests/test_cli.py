@@ -1,10 +1,12 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
 
 import pytest
 
+import commgraph.cli
 from commgraph.cli import main
 
 ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
@@ -144,6 +146,36 @@ class TestErrors:
         assert code == 2
         assert "composite" in err
 
+    def test_negative_cap_is_usage_error(self, capsys):
+        argv = ["distance", "--n", "4", "--a", "(1 2 3 4)", "--b", "[1 2 3](3 4)"]
+        code, out, err = run_cli(capsys, *argv, "--cap", "-3")
+        assert code == 2
+        assert out == "" and "--cap" in err
+        code, out, _ = run_cli(capsys, *argv, "--cap", "0")
+        assert code == 1 and "exceeds-cap" in out
+
+    def test_grammar_hint_only_for_element_errors(self, capsys):
+        code, _, err = run_cli(capsys, "components", "--n", "1")
+        assert code == 2
+        assert err.startswith("error: ") and "n >= 2" in err
+        assert "element grammars" not in err
+        code, _, err = run_cli(capsys, "distance", "--a", "oops!", "--b", "1 2")
+        assert code == 2
+        assert "element grammars" in err
+
+    @pytest.mark.parametrize("exc", [MemoryError("cannot allocate"), RuntimeError("boom")],
+                             ids=["memory", "runtime"])
+    def test_failures_map_to_exit_two(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(commgraph.cli, "diameter", fail)
+        code, out, err = run_cli(capsys, "diameter", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
 
 JSON_COMMANDS = [
     ("center", "--n", "3", "--mode", "brute"),
@@ -183,6 +215,20 @@ class TestJsonDeterminism:
         # the workers parameter itself is echoed; mask it before comparing
         norm = [re.sub(r'"workers": \d+', '"workers": W', o) for o in outs]
         assert norm[0] == norm[1]
+
+
+# Exit code and stdout (elapsed_s masked as ELAPSED) of each invocation, recorded
+# before the command handlers were reduced to returning what they computed.  The
+# file pins the output contract across versions; do not regenerate it to make a
+# change pass.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_output(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["code"]
+    assert ELAPSED.sub('"elapsed_s": ELAPSED', out) == case["stdout"]
 
 
 def test_console_script_wired():
