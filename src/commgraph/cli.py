@@ -25,6 +25,7 @@ from .commuting import (
     center,
     centralizer,
     commutes,
+    pick_strategy,
     universe_size,
 )
 from .graphalg import (
@@ -131,18 +132,20 @@ def cmd_commutes(args) -> Outcome:
 
 def cmd_centralizer(args) -> Outcome:
     a = _element(args.a, args.n)
-    elems = centralizer(a, _UNIVERSES[args.universe], args.strategy, long_run=args.long_run)
+    universe = _UNIVERSES[args.universe]
+    elems = centralizer(a, universe, args.strategy, long_run=args.long_run)
     return Outcome({"n": a.n, "universe": args.universe, "strategy": args.strategy},
                    {"size": len(elems), "centralizer": [str(t) for t in elems]},
                    [f"size: {len(elems)}"] + [f"  {t}" for t in elems],
-                   {"a": str(a)}, args.strategy)
+                   {"a": str(a)}, pick_strategy(a.n, universe, args.strategy))
 
 
 def cmd_distance(args) -> Outcome:
     a, b, inputs = _pair(args)
     semigroup = _SEMIGROUPS[args.semigroup]
     _require_sweep_budget(a.n, semigroup, args.long_run, "a distance query")
-    d = bfs_distance(CommGraph(a.n, semigroup), a, b, cap=args.cap, strategy=args.strategy)
+    strategy = pick_strategy(a.n, semigroup, args.strategy)
+    d = bfs_distance(CommGraph(a.n, semigroup), a, b, cap=args.cap, strategy=strategy)
     if d is EXCEEDS_CAP:
         result: dict = {"distance": "exceeds-cap", "cap": args.cap}
     elif d == INFINITE:
@@ -151,7 +154,7 @@ def cmd_distance(args) -> Outcome:
         result = {"distance": int(d)}
     return Outcome({"n": a.n, "semigroup": args.semigroup, "cap": args.cap,
                     "strategy": args.strategy},
-                   result, [f"distance: {result['distance']}"], inputs, args.strategy,
+                   result, [f"distance: {result['distance']}"], inputs, strategy,
                    0 if isinstance(result["distance"], int) else 1)
 
 
@@ -160,18 +163,19 @@ def cmd_path(args) -> Outcome:
     semigroup = _SEMIGROUPS[args.semigroup]
     _require_sweep_budget(a.n, semigroup, args.long_run, "a shortest-path query")
     parameters = {"n": a.n, "semigroup": args.semigroup, "strategy": args.strategy}
+    strategy = pick_strategy(a.n, semigroup, args.strategy)
     g = CommGraph(a.n, semigroup)
-    cert = shortest_path(g, a, b, strategy=args.strategy)
+    cert = shortest_path(g, a, b, strategy=strategy)
     if cert is None:
         return Outcome(parameters, {"path": None, "verified": False}, ["no path"],
-                       inputs, args.strategy, 1)
+                       inputs, strategy, 1)
     verified = verify_path(g, cert)
     return Outcome(parameters,
                    {"length": cert.claimed_length, "vertices": [str(t) for t in cert.vertices],
                     "verified": verified},
                    [f"length: {cert.claimed_length} (verified: {verified})"]
                    + [f"  {t}" for t in cert.vertices],
-                   inputs, args.strategy, 0 if verified else 1)
+                   inputs, strategy, 0 if verified else 1)
 
 
 def cmd_components(args) -> Outcome:
@@ -182,7 +186,7 @@ def cmd_components(args) -> Outcome:
                    {"count": summary.count, "sizes": list(summary.sizes),
                     "representatives": [str(t) for t in summary.representatives]},
                    [f"components: {summary.count}", f"sizes: {list(summary.sizes)}"],
-                   strategy=args.strategy)
+                   strategy=pick_strategy(args.n, semigroup, args.strategy))
 
 
 def cmd_diameter(args) -> Outcome:
@@ -243,14 +247,12 @@ def cmd_witness(args) -> Outcome:
 
 def cmd_replay(args) -> Outcome:
     case = witness_pair(args.n)
-    report = replay_lower_bound(case, long_run=args.long_run)
+    report = replay_lower_bound(case)
     lines = []
     for s in report.steps:
         lines.append(f"[{'ok' if s.passed else 'FAIL'}] {s.name}: {s.claim}")
         if s.detail:
             lines.append(f"    {s.detail}")
-    for claim in report.imported_claims:
-        lines.append(f"[imported] {claim}")
     lines.append(f"lower bound: {report.lower_bound} (passed: {report.passed})")
     return Outcome({"n": args.n, "long_run": args.long_run, "workers": args.workers},
                    report.to_dict(), lines,

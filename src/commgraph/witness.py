@@ -22,11 +22,8 @@ from .commuting import (
     commute_mask,
     commutes,
     decode_id_range,
-    element_budget,
     pick_strategy,
     row_of,
-    universe_elements,
-    universe_size,
 )
 from .graphalg import PathCertificate, verify_path
 from .ptrans import (
@@ -38,7 +35,9 @@ from .ptrans import (
     point_map,
     power,
 )
-from .unified import certify_no_partial_connector, partial_connector_bruteforce
+# partial_connector_bruteforce is not called here; perfbench/tracing.py patches
+# it under this module's name too, so the name stays importable from witness.
+from .unified import certify_no_partial_connector, partial_connector_bruteforce  # noqa: F401
 
 
 def is_prime(n: int) -> bool:
@@ -387,17 +386,15 @@ class ReplayStep:
 class ReplayReport:
     """Machine-checked verdicts, one per proof step.
 
-    ``imported_claims`` lists the facts the argument takes from outside
-    rather than proving; the replay still audits each of them (the full-side
-    claim by the joint full-centralizer enumeration of the no-common-neighbor
-    step), so ``passed`` is False and no bound is given when one is refuted.
+    Every step is proved here; nothing is taken from outside.  Each exhaustive
+    question is one exact ``centralizer`` enumeration, so ``passed`` is False
+    and no bound is given when any step is refuted.
     """
 
     case: WitnessCase
     steps: tuple[ReplayStep, ...]
     lower_bound: int | None
     passed: bool
-    imported_claims: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -416,7 +413,6 @@ class ReplayReport:
                 }
                 for s in self.steps
             ],
-            "imported_claims": list(self.imported_claims),
             "lower_bound": self.lower_bound,
             "passed": self.passed,
         }
@@ -430,8 +426,9 @@ def scan_common_commuters(n: int, subjects: Sequence[PTrans]) -> list[int]:
     by a sweep over the whole universe, SCAN_CHUNK ids at a time.
 
     Each chunk is decoded from its ids and dropped after use, so memory stays
-    flat however large (n+1)^n is; this is the exhaustive oracle the n=8
-    long-run replay relies on.
+    flat however large (n+1)^n is.  The replay does not use it: it is the
+    independent exhaustive oracle the tests compare the replay's joint
+    centralizer enumerations with (n <= 6, and n = 8 under ``--long-run``).
     """
     total = (n + 1) ** n
     subject_rows = [row_of(s) for s in subjects]
@@ -454,29 +451,26 @@ def _full_commuters(*subjects: PTrans) -> list[PTrans]:
     return centralizer(subjects, Universe.FULL, "backtrack")
 
 
-def _exclusion_checks(t: PTrans, *, scan_ok: bool) -> tuple[bool, bool, str]:
+def _exclusion_checks(t: PTrans) -> tuple[bool, bool, str]:
     """Only the identity permutation and only the empty strictly-partial map
-    commute with a tail+cycle map; verified by enumeration, by scan when small."""
+    commute with a tail+cycle map; verified by enumeration."""
     n = t.n
-    perm_strategy = "scan" if scan_ok else "backtrack"
-    perms = centralizer(t, Universe.PERMUTATIONS, perm_strategy)
-    perm_ok = _ids(perms) == {identity(n).encode()}
-    strict_strategy = pick_strategy(n, Universe.STRICTLY_PARTIAL)
-    strict = centralizer(t, Universe.STRICTLY_PARTIAL, strict_strategy)
-    strict_ok = _ids(strict) == {empty(n).encode()}
+    perm_ok = _ids(centralizer(t, Universe.PERMUTATIONS)) == {identity(n).encode()}
+    strict_ok = _ids(centralizer(t, Universe.STRICTLY_PARTIAL)) == {empty(n).encode()}
     gamma = certify_no_partial_connector(t, t)
-    method = f"{perm_strategy}+{strict_strategy}-enumeration, move-graph cross-check"
+    method = (f"{pick_strategy(n, Universe.PERMUTATIONS)}+"
+              f"{pick_strategy(n, Universe.STRICTLY_PARTIAL)}-enumeration, move-graph cross-check")
     return perm_ok and gamma.gamma_connected, strict_ok, method
 
 
-def _forced_idempotent_step(subject: PTrans, expected: PTrans, *, scan_ok: bool) -> tuple[bool, str, str]:
+def _forced_idempotent_step(subject: PTrans, expected: PTrans) -> tuple[bool, str]:
     """The displayed idempotent is idempotent, commutes with the subject, matches
     the closed-form construction, and is the only non-identity full idempotent
     commuting with the subject."""
     n = subject.n
     parts = chain_cycle_parts(subject)
     if parts is None:
-        return False, "structure", "subject is not a tail+cycle map"
+        return False, "structure check: subject is not a tail+cycle map"
     tail, cycle = parts
     rebuilt = forced_idempotent(n, cycle, tail)
     basic = (
@@ -489,39 +483,25 @@ def _forced_idempotent_step(subject: PTrans, expected: PTrans, *, scan_ok: bool)
         u.encode() for u in _full_commuters(subject) if u.is_idempotent()
     }
     unique = idems == {identity(n).encode(), expected.encode()}
-    method = "closed-form + backtrack-enumeration"
-    detail = ""
-    if scan_ok:
-        rows, ids = universe_elements(n, Universe.FULL)
-        self_sq = np.take_along_axis(rows, rows, axis=1)
-        idem_mask = (self_sq == rows).all(axis=1)
-        cmask = commute_mask(rows, row_of(subject))
-        scan_ids = set(ids[idem_mask & cmask].tolist())
-        unique = unique and scan_ids == {identity(n).encode(), expected.encode()}
-        method += " + exhaustive-scan"
-    return basic and unique, method, detail
+    return basic and unique, "closed-form + backtrack-enumeration"
 
 
 def _no_common_vertex_backtrack(u: PTrans, v: PTrans) -> tuple[bool, str]:
-    """No vertex commutes with both: move-graph connectivity covers strictly
-    partial candidates, enumeration of the joint full centralizer covers the rest."""
+    """No vertex commutes with both: the joint centralizer of u and v over all
+    partial maps holds only the center, and the move-graph certificate agrees
+    on the strictly partial side.  The enumeration follows the library's
+    strategy rule, so it scans the cached universe while that fits the budget."""
     cert = certify_no_partial_connector(u, v)
-    extras = [t for t in _full_commuters(u, v) if not t.is_identity()]
+    extras = [t for t in centralizer([u, v], Universe.ALL_PARTIAL)
+              if not (t.is_empty() or t.is_identity())]
     ok = cert.gamma_connected and not extras
     detail = "" if ok else f"counterexamples: {[str(t) for t in extras[:3]]}"
     return ok, detail
 
 
-IMPORTED_FULL_SIDE = (
-    "no full transformation outside the center commutes with both middle "
-    "idempotents (imported subgraph distance bound, audited here by joint "
-    "full-centralizer enumeration)"
-)
-
-
 @dataclass(frozen=True)
 class FullSideAudit:
-    """Result of actually enumerating the imported full-transformation side."""
+    """Result of enumerating the full transformations commuting with e and f."""
 
     case: WitnessCase
     holds: bool
@@ -530,30 +510,35 @@ class FullSideAudit:
 
 def audit_imported_full_side(case: WitnessCase) -> FullSideAudit:
     """Enumerate the full transformations commuting with both middle idempotents
-    of a family case, testing the claim the replay imports.
+    of a family case: the full-side claim the family argument used to import.
 
-    The enumeration is exact: one backtracking search propagates e and f
-    together, so it visits a handful of nodes at any n instead of listing the
-    whole centralizer of e.  A non-empty counterexample list refutes the
-    imported claim outright: each counterexample yields a verified length-4
-    path between the endpoints.  The displayed pair for n=10 fails this audit;
-    the replay's no-common-neighbor step runs the same enumeration.
+    The replay no longer imports it: its no-common-neighbor step enumerates
+    the joint centralizer of e and f over all partial maps, which settles the
+    full and the strictly partial side at once.  This audit keeps the full
+    side on its own.  The enumeration is exact: one backtracking search
+    propagates e and f together, so it visits a handful of nodes at any n.  A
+    non-empty counterexample list refutes the claim outright: each
+    counterexample yields a verified length-4 path between the endpoints.
+    The displayed pair for n=10 fails this audit.
     """
     if case.family not in (WitnessFamily.ODD_COMPOSITE, WitnessFamily.EVEN_COMPOSITE):
-        raise ValueError("the full-side import only occurs in the odd/even family replays")
+        raise ValueError("the full-side claim only occurs in the odd/even family replays")
     e, f = case.forced_e, case.forced_f
     assert e is not None and f is not None
     extras = tuple(t for t in _full_commuters(e, f) if not t.is_identity())
     return FullSideAudit(case, not extras, extras)
 
 
-def replay_lower_bound(case: WitnessCase, *, long_run: bool = False) -> ReplayReport:
-    """Re-derive every step of the distance lower bound for a witness case."""
+def replay_lower_bound(case: WitnessCase) -> ReplayReport:
+    """Re-derive every step of the distance lower bound for a witness case.
+
+    Each exhaustive question is one ``centralizer`` call under the library's
+    one strategy rule; nothing is imported at any n.
+    """
     n = case.n
     alpha, beta, e, f = case.alpha, case.beta, case.forced_e, case.forced_f
     named = case.family in (WitnessFamily.N4, WitnessFamily.N6, WitnessFamily.N8)
-    scan_ok = universe_size(n, Universe.ALL_PARTIAL) <= element_budget()
-    full_scan_ok = universe_size(n, Universe.FULL) <= element_budget()
+    partial_strategy = pick_strategy(n, Universe.ALL_PARTIAL)
     steps: list[ReplayStep] = []
 
     def add(name: str, claim: str, method: str, passed: bool, detail: str = "") -> None:
@@ -568,21 +553,19 @@ def replay_lower_bound(case: WitnessCase, *, long_run: bool = False) -> ReplayRe
 
     if named:
         expected_cent = {empty(n).encode(), *(power(alpha, k).encode() for k in range(1, n + 1))}
-        strategy = "scan" if scan_ok else "backtrack"
-        got = centralizer(alpha, Universe.ALL_PARTIAL, strategy)
-        cyc_ok = _ids(got) == expected_cent
-        perm_ok, strict_ok, method = _exclusion_checks(beta, scan_ok=full_scan_ok)
+        cyc_ok = _ids(centralizer(alpha, Universe.ALL_PARTIAL)) == expected_cent
+        perm_ok, strict_ok, method = _exclusion_checks(beta)
         add(
             "neighbor-characterization",
             "alpha commutes exactly with the empty map and its own powers; "
             "only the identity permutation and the empty map commute with beta "
             "(so the second and second-to-last path vertices differ: distance >= 3)",
-            f"{strategy}-enumeration, {method}",
+            f"{partial_strategy}-enumeration, {method}",
             cyc_ok and perm_ok and strict_ok,
         )
     else:
-        a_perm_ok, a_strict_ok, a_method = _exclusion_checks(alpha, scan_ok=False)
-        b_perm_ok, b_strict_ok, _ = _exclusion_checks(beta, scan_ok=False)
+        a_perm_ok, a_strict_ok, a_method = _exclusion_checks(alpha)
+        b_perm_ok, b_strict_ok, _ = _exclusion_checks(beta)
         add(
             "neighbor-characterization",
             "only the identity permutation and the empty map commute with either "
@@ -592,17 +575,16 @@ def replay_lower_bound(case: WitnessCase, *, long_run: bool = False) -> ReplayRe
         )
 
     if named:
-        ok3, method3, detail3 = _forced_idempotent_step(beta, e, scan_ok=full_scan_ok)
+        ok3, method3 = _forced_idempotent_step(beta, e)
         add(
             "forced-idempotent",
             "the idempotent power of any neighbor of beta is the displayed idempotent e",
             method3,
             ok3,
-            detail3,
         )
     else:
-        ok_e, method3, _ = _forced_idempotent_step(alpha, e, scan_ok=full_scan_ok)
-        ok_f, _, _ = _forced_idempotent_step(beta, f, scan_ok=full_scan_ok)
+        ok_e, method3 = _forced_idempotent_step(alpha, e)
+        ok_f, _ = _forced_idempotent_step(beta, f)
         add(
             "forced-idempotent",
             "the idempotent powers of the neighbors of alpha and beta are the "
@@ -629,72 +611,36 @@ def replay_lower_bound(case: WitnessCase, *, long_run: bool = False) -> ReplayRe
             not commutes(e, f),
         )
 
-    imported: tuple[str, ...] = ()
     if case.family is WitnessFamily.N4:
-        common = scan_common_commuters(n, [e])
-        hits = {power(alpha, 2).encode(), power(alpha, 3).encode()} & set(common)
+        hits = {power(alpha, 2).encode(), power(alpha, 3).encode()}
         add(
             "no-common-neighbor",
-            "the exhaustive sweep confirms neither alpha^2 nor alpha^3 commutes with e",
-            "exhaustive-scan",
-            not hits,
+            "neither alpha^2 nor alpha^3 commutes with e",
+            f"{partial_strategy}-enumeration",
+            not hits & _ids(centralizer(e, Universe.ALL_PARTIAL)),
         )
-    elif case.family is WitnessFamily.N6 or (case.family is WitnessFamily.N8 and long_run):
-        allowed = {empty(n).encode(), identity(n).encode()}
-        bad_pairs = []
-        certs = []
-        for k in range(2, n):
-            gk = power(alpha, k)
-            common = set(scan_common_commuters(n, [gk, e]))
-            if not common <= allowed:
-                bad_pairs.append(k)
-            certs.append(certify_no_partial_connector(gk, e).gamma_connected)
+    else:
+        if named:
+            pairs = [(power(alpha, k), e) for k in range(2, n)]
+            claim = "no vertex commutes with both a nontrivial power of alpha and e (distance >= 5)"
+        else:
+            pairs = [(e, f)]
+            claim = "no vertex commutes with both e and f (distance >= 5)"
+        results = [_no_common_vertex_backtrack(u, v) for u, v in pairs]
         add(
             "no-common-neighbor",
-            "no vertex commutes with both a nontrivial power of alpha and e "
-            "(distance >= 5)",
-            "exhaustive-scan, move-graph cross-check",
-            not bad_pairs and all(certs),
-            "" if not bad_pairs else f"violating powers: {bad_pairs}",
-        )
-    elif case.family is WitnessFamily.N8:
-        results = [_no_common_vertex_backtrack(power(alpha, k), e) for k in range(2, n)]
-        add(
-            "no-common-neighbor",
-            "no vertex commutes with both a nontrivial power of alpha and e "
-            "(distance >= 5)",
-            "move-graph certificate + backtrack-enumeration",
+            claim,
+            f"{partial_strategy}-enumeration of the joint centralizer, move-graph cross-check",
             all(ok for ok, _ in results),
             "; ".join(d for _, d in results if d),
         )
-    else:
-        ok, detail = _no_common_vertex_backtrack(e, f)
-        reduced = witness_pair(4)
-        probe_a, probe_b = reduced.alpha, power(reduced.alpha, 2)
-        cert_small = certify_no_partial_connector(probe_a, probe_b)
-        oracle_small = partial_connector_bruteforce(probe_a, probe_b)
-        cross = cert_small.gamma_connected and _ids(oracle_small) == {empty(4).encode()}
-        imported = (IMPORTED_FULL_SIDE,)
-        add(
-            "no-common-neighbor",
-            "no vertex commutes with both e and f: the move graph covers the "
-            "strictly partial maps, a joint enumeration audits the imported "
-            "full-transformation side",
-            "move-graph certificate + reduced-n oracle cross-check + "
-            "joint full-centralizer enumeration",
-            ok and cross,
-            detail,
-        )
 
     all_passed = all(s.passed for s in steps)
-    conclusion = f"distance(alpha, beta) >= {case.expected_lower_bound}"
-    if imported:
-        conclusion += " (the imported claims listed in the report are audited above)"
-    add("lower-bound", conclusion, "conclusion", all_passed)
+    add("lower-bound", f"distance(alpha, beta) >= {case.expected_lower_bound}", "conclusion",
+        all_passed)
     return ReplayReport(
         case,
         tuple(steps),
         case.expected_lower_bound if all_passed else None,
         all_passed,
-        imported,
     )

@@ -8,7 +8,7 @@ def pytest_addoption(parser):
         "--long-run",
         action="store_true",
         default=False,
-        help="run the long sweeps (n=6 witness BFS, n=8 exhaustive replay scan)",
+        help="run the long sweeps (n=6 witness BFS, n=8 exhaustive oracle sweep)",
     )
 
 

@@ -9,6 +9,7 @@ from commgraph import (
     Universe,
     bfs_distance,
     centralizer,
+    certify_no_partial_connector,
     chain_cycle_parts,
     commutes,
     empty,
@@ -29,6 +30,8 @@ from commgraph import (
 )
 from commgraph import witness
 from commgraph.witness import WitnessFamily, audit_imported_full_side, is_prime
+
+from oracles import all_partial_dicts, commutes_naive, from_dict, to_dict
 
 
 class TestWitnessPairs:
@@ -269,7 +272,8 @@ class TestReplay:
     def test_named_cases_fully_machine_checked(self, n, bound):
         report = replay_lower_bound(witness_pair(n))
         assert report.passed and report.lower_bound == bound
-        assert report.imported_claims == ()
+        assert not hasattr(report, "imported_claims")
+        assert "imported_claims" not in report.to_dict()
         assert [s.name for s in report.steps] == [
             "endpoints-noncommuting",
             "neighbor-characterization",
@@ -281,11 +285,14 @@ class TestReplay:
 
     @pytest.mark.parametrize("n", [9, 10, 12, 14, 15, 16])
     def test_family_cases_pass_with_explicit_import(self, n):
+        # nothing is imported: one joint enumeration over all partial maps
+        # settles the full and the strictly partial side of the step
         report = replay_lower_bound(witness_pair(n))
-        assert len(report.imported_claims) == 1
+        assert "imported_claims" not in report.to_dict()
         step = {s.name: s for s in report.steps}["no-common-neighbor"]
+        assert step.method == "backtrack-enumeration of the joint centralizer, move-graph cross-check"
+        assert step.claim == "no vertex commutes with both e and f (distance >= 5)"
         if n == 10:
-            # the replay audits the imported full side itself and refutes it:
             # the involution commutes with both e and f (see the audit tests)
             assert not report.passed and report.lower_bound is None
             assert not step.passed
@@ -298,6 +305,24 @@ class TestReplay:
         d = replay_lower_bound(witness_pair(4)).to_dict()
         assert d["n"] == 4 and d["passed"] is True
         assert len(d["steps"]) == 6
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_forced_idempotent_unique_by_scan(self, n):
+        # the scan over T(n) agrees with the replay's backtracking enumeration
+        w = witness_pair(n)
+        scanned = centralizer(w.beta, Universe.FULL, "scan")
+        idems = {t.encode() for t in scanned if t.is_idempotent()}
+        assert idems == {identity(n).encode(), w.forced_e.encode()}
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_joint_centralizers_match_sweep(self, n):
+        w = witness_pair(n)
+        for k in range(2, n):
+            subjects = [power(w.alpha, k), w.forced_e]
+            swept = scan_common_commuters(n, subjects)
+            for strategy in ("scan", "backtrack"):
+                got = centralizer(subjects, Universe.ALL_PARTIAL, strategy)
+                assert [t.encode() for t in got] == swept, (k, strategy)
 
     def test_scan_common_commuters_matches_centralizer(self):
         w = witness_pair(4)
@@ -313,6 +338,45 @@ class TestReplay:
         assert scan_common_commuters(4, [w.forced_e, w.alpha]) == whole
         expected = [t.encode() for t in centralizer([w.forced_e, w.alpha], Universe.ALL_PARTIAL)]
         assert whole == expected
+
+
+def _common_vertices(u, v):
+    """Non-central maps commuting with both: the dict oracle at n=4, joint
+    backtracking beyond."""
+    n = u.n
+    if n == 4:
+        du, dv = to_dict(u), to_dict(v)
+        ident = {x: x for x in range(1, n + 1)}
+        found = [from_dict(n, d) for d in all_partial_dicts(n)
+                 if d not in ({}, ident) and commutes_naive(d, du) and commutes_naive(d, dv)]
+        return sorted(found, key=PTrans.encode)
+    both = centralizer([u, v], Universe.ALL_PARTIAL, "backtrack")
+    return [t for t in both if not (t.is_empty() or t.is_identity())]
+
+
+def _no_common_pairs():
+    rng = random.Random(20260718)
+    pairs = [tuple(PTrans(n, tuple(rng.randrange(n) for _ in range(n))) for _ in range(2))
+             for n in (4, 5, 6) for _ in range(15)]
+    # permutations fixing 4: the partial identity on {4} commutes with both
+    pairs.append((PTrans(4, (1, 2, 0, 3)), PTrans(4, (2, 0, 1, 3))))
+    return pairs
+
+
+class TestNoCommonVertex:
+    @pytest.mark.parametrize("u,v", _no_common_pairs(), ids=lambda t: str(t))
+    def test_matches_oracle(self, u, v):
+        ok, detail = witness._no_common_vertex_backtrack(u, v)
+        common = _common_vertices(u, v)
+        cert = certify_no_partial_connector(u, v)
+        if cert.gamma_connected:  # the certificate's one-sided claim
+            assert all(t.is_full() for t in common)
+        assert ok == (cert.gamma_connected and not common)
+        assert detail == ("" if ok else f"counterexamples: {[str(t) for t in common[:3]]}")
+
+    def test_pairs_include_strictly_partial_commuter(self):
+        assert any(not t.is_full()
+                   for u, v in _no_common_pairs() for t in _common_vertices(u, v))
 
 
 class TestImportedFullSideAudit:
