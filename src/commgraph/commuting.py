@@ -119,7 +119,8 @@ def _universe_elements(n: int, universe: Universe) -> tuple[np.ndarray, np.ndarr
             rows[:, x] = (ids // n**x) % n
         return rows, ids_of_rows(rows, n)
     if universe is Universe.PERMUTATIONS:
-        rows = np.array(sorted(permutations(range(n))), dtype=np.uint8)
+        rows = np.fromiter(permutations(range(n)), dtype=np.dtype((np.uint8, n)),
+                           count=math.factorial(n))
         ids = ids_of_rows(rows, n)
         order = np.argsort(ids)
         return rows[order], ids[order]

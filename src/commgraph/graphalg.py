@@ -1,9 +1,18 @@
 """Distances, components and diameters over the implicit commuting graph.
 
-BFS never materialises the graph except for the exact diameter of a connected
-graph; neighbor sets come either from vectorised whole-universe scans (fast at
-small n) or from the backtracking centralizer enumerator (wins when
-centralizers are tiny compared to the universe).
+Two searches cover every query, and neither materialises the graph:
+
+* the pair search behind ``bfs_distance`` and ``shortest_path`` grows level
+  sets from both endpoints, always the side with the smaller frontier, until
+  they meet; the path is rebuilt by walking back from b, each step to the
+  minimum-index neighbour one level closer to a;
+* the single-source sweep ``_bfs`` runs one endpoint's BFS over its whole
+  component, for ``connected_components`` and lower-only ``diameter``.
+
+Both expand a level either by vectorised whole-universe scans (fast at small
+n) or by the backtracking centralizer enumerator (wins when centralizers are
+tiny compared to the universe).  Only the exact diameter of a connected graph
+builds the dense adjacency matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .commuting import (
     Universe,
     center_ids,
     check_scan_budget,
+    commute_mask,
     commute_masks_batch,
     commutes,
     is_vertex,
@@ -154,16 +164,12 @@ def _expand_backtrack(ctx: _GraphContext, frontier: np.ndarray, dist: np.ndarray
     return res
 
 
-def _bfs(
-    ctx: _GraphContext,
-    source: int,
-    *,
-    target: int | None = None,
-    cap: int | None = None,
-    need_parents: bool = False,
-    strategy: str = "scan",
-):
-    """Level BFS from ``source``; returns (dist, parent, stopped_at_cap)."""
+def _bfs(ctx: _GraphContext, source: int, *, need_parents: bool = False, strategy: str = "scan"):
+    """Level BFS from ``source`` over its whole component; returns (dist, parent).
+
+    ``parent[v]`` is the minimum-index neighbour of ``v`` one level closer to
+    the source.
+    """
     V = len(ctx.rows)
     dist = np.full(V, -1, dtype=np.int64)
     parent = np.full(V, -1, dtype=np.int64) if need_parents else None
@@ -172,15 +178,77 @@ def _bfs(
     level = 0
     expand = _expand_scan if strategy == "scan" else _expand_backtrack
     while len(frontier):
-        if target is not None and dist[target] >= 0:
-            break
-        if cap is not None and level >= cap:
-            return dist, parent, True
         nxt = expand(ctx, frontier, dist, parent)
         level += 1
         dist[nxt] = level
         frontier = nxt
-    return dist, parent, False
+    return dist, parent
+
+
+def _touching(ctx: _GraphContext, cand: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The vertices of ``cand`` that commute with some vertex of ``frontier``."""
+    sub = ctx.rows[cand]
+    hit = np.zeros(len(cand), dtype=bool)
+    for start in range(0, len(frontier), _BATCH):
+        hit |= commute_masks_batch(sub, ctx.rows[frontier[start : start + _BATCH]]).any(axis=0)
+    return cand[hit]
+
+
+def _meet(ctx: _GraphContext, src: int, tgt: int, cap: int | None, strategy: str):
+    """Bidirectional level search between two distinct vertices.
+
+    Each step grows the side with the smaller frontier by one level.  Until
+    the sides meet no vertex is reached from both, so the distance exceeds
+    la + lb, and only the other side's frontier can hold neighbours of this
+    one.  So the step first scans its frontier against the other frontier: a
+    hit puts the distance at exactly la + lb + 1, and the hits become this
+    side's last level (the meeting set).  Otherwise it expands one complete
+    level.  Returns (distance, a's levels, b's levels), each level a sorted
+    array of vertex indices; the distance is INFINITE (levels None) once
+    either side exhausts its component, and EXCEEDS_CAP once la + lb reaches
+    ``cap`` unmet.
+    """
+    V = len(ctx.rows)
+    expand = _expand_scan if strategy == "scan" else _expand_backtrack
+    sides = []
+    for s in (src, tgt):
+        dist = np.full(V, -1, dtype=np.int64)
+        dist[s] = 0
+        sides.append((dist, [np.array([s], dtype=np.int64)]))
+    (_, levels_a), (_, levels_b) = sides
+    while True:
+        reach = len(levels_a) + len(levels_b) - 2
+        if cap is not None and reach >= cap:
+            return EXCEEDS_CAP, None, None
+        grow = 0 if len(levels_a[-1]) <= len(levels_b[-1]) else 1
+        (dist, levels), (_, facing) = sides[grow], sides[1 - grow]
+        met = _touching(ctx, facing[-1], levels[-1])
+        if len(met):
+            levels.append(met)
+            return reach + 1, levels_a, levels_b
+        nxt = expand(ctx, levels[-1], dist, None)
+        if not len(nxt):
+            return INFINITE, None, None
+        dist[nxt] = len(levels)
+        levels.append(nxt)
+
+
+def _walk_back(ctx: _GraphContext, levels_a: list, levels_b: list) -> list[int]:
+    """The shortest path that steps back from b to the minimum-index
+    neighbour one level closer to a each time, as vertex indices from a.
+
+    Layer k holds the candidates at distance k from a: a's own levels below
+    the meeting level, then the meeting set, then the part of each of b's
+    levels that commutes with some vertex of the layer before it (exactly the
+    vertices at distance k from a on a shortest path).
+    """
+    layers = levels_a[:-1] + [np.intersect1d(levels_a[-1], levels_b[-1], assume_unique=True)]
+    for cand in reversed(levels_b[:-1]):
+        layers.append(_touching(ctx, cand, layers[-1]))
+    chain = [int(layers[-1][0])]
+    for layer in reversed(layers[:-1]):
+        chain.append(int(layer[commute_mask(ctx.rows[layer], ctx.rows[chain[-1]]).argmax()]))
+    return chain[::-1]
 
 
 def bfs_distance(
@@ -190,8 +258,14 @@ def bfs_distance(
     cap: int | None = None,
     strategy: str = "auto",
 ):
-    """Exact distance between two vertices; INFINITE if unreachable,
-    EXCEEDS_CAP if every path is longer than ``cap``."""
+    """Distance between two vertices, by a bidirectional level search.
+
+    The answer is exact whenever the distance is at most ``cap`` (always,
+    without a cap).  Otherwise it is EXCEEDS_CAP, meaning the distance is
+    greater than ``cap`` or infinite, or INFINITE, meaning no path exists.
+    INFINITE is returned as soon as either endpoint's component is exhausted,
+    which under a cap can happen before the two search levels add up to it.
+    """
     for t in (a, b):
         if not is_vertex(g, t):
             raise NotAVertexError(f"{t!r} is central, not a vertex")
@@ -200,10 +274,7 @@ def bfs_distance(
     ctx = _GraphContext(g)
     src, tgt = ctx.index_of(a), ctx.index_of(b)
     strategy = pick_strategy(g.n, g.semigroup, strategy)
-    dist, _, capped = _bfs(ctx, src, target=tgt, cap=cap, strategy=strategy)
-    if dist[tgt] >= 0:
-        return int(dist[tgt])
-    return EXCEEDS_CAP if capped else INFINITE
+    return _meet(ctx, src, tgt, cap, strategy)[0]
 
 
 def shortest_path(
@@ -212,7 +283,11 @@ def shortest_path(
     b: PTrans,
     strategy: str = "auto",
 ) -> Optional[PathCertificate]:
-    """A shortest path as a certificate, or None when no path exists."""
+    """A shortest path as a certificate, or None when no path exists.
+
+    Walking back from ``b``, each step takes the minimum-id neighbour one
+    level closer to ``a``, so the path does not depend on the strategy.
+    """
     for t in (a, b):
         if not is_vertex(g, t):
             raise NotAVertexError(f"{t!r} is central, not a vertex")
@@ -221,13 +296,11 @@ def shortest_path(
     ctx = _GraphContext(g)
     src, tgt = ctx.index_of(a), ctx.index_of(b)
     strategy = pick_strategy(g.n, g.semigroup, strategy)
-    dist, parent, _ = _bfs(ctx, src, target=tgt, need_parents=True, strategy=strategy)
-    if dist[tgt] < 0:
+    d, levels_a, levels_b = _meet(ctx, src, tgt, None, strategy)
+    if d is INFINITE:
         return None
-    chain = [tgt]
-    while chain[-1] != src:
-        chain.append(int(parent[chain[-1]]))
-    return PathCertificate.from_vertices([ctx.ptrans_at(i) for i in reversed(chain)])
+    chain = _walk_back(ctx, levels_a, levels_b)
+    return PathCertificate.from_vertices([ctx.ptrans_at(i) for i in chain])
 
 
 @dataclass(frozen=True)
@@ -252,7 +325,7 @@ def connected_components(g: CommGraph, strategy: str = "auto") -> ComponentSumma
     for seed in range(V):
         if labels[seed] >= 0:
             continue
-        dist, _, _ = _bfs(ctx, seed, strategy=strategy)
+        dist, _ = _bfs(ctx, seed, strategy=strategy)
         members = dist >= 0
         labels[members] = comp
         reps.append(ctx.ptrans_at(seed))
@@ -356,7 +429,7 @@ def diameter(
         if not is_vertex(g, seed):
             raise NotAVertexError(f"{seed!r} is central, not a vertex")
         src = ctx.index_of(seed)
-        dist, _, _ = _bfs(ctx, src, strategy=strategy)
+        dist, _ = _bfs(ctx, src, strategy=strategy)
         reached = dist >= 0
         connected = bool(reached.all()) if connected is None else connected and bool(reached.all())
         ecc = int(dist.max())

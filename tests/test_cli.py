@@ -41,6 +41,14 @@ class TestCommands:
         assert code == 1
         assert "exceeds-cap" in out
 
+    def test_capped_unreachable_pair_is_infinite(self, capsys):
+        # "2 3 1" is a 3-cycle: its component is its two powers, exhausted
+        # within the cap, so the pair is known unreachable, not just capped.
+        code, out, _ = run_cli(capsys, "distance", "--n", "3", "--cap", "3",
+                               "--a", "1 1 1", "--b", "2 3 1")
+        assert code == 1
+        assert out == "distance: infinite\n"
+
     def test_commutes(self, capsys):
         code, out, _ = run_cli(capsys, "commutes", "--a", "(1 2 3 4)", "--b", "(1 2 3 4)^2")
         assert code == 0 and "True" in out

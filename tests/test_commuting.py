@@ -1,5 +1,7 @@
 import random
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from commgraph import (
@@ -22,8 +24,10 @@ from commgraph import (
 )
 from commgraph.commuting import (
     _backtrack_images,
+    _universe_elements,
     center_ids,
     commute_mask,
+    ids_of_rows,
     is_vertex,
     row_of,
     universe_elements,
@@ -273,6 +277,19 @@ def test_strictly_partial_is_all_minus_full():
     all_ids = set(universe_elements(3, Universe.ALL_PARTIAL)[1].tolist())
     full_ids = set(universe_elements(3, Universe.FULL)[1].tolist())
     assert set(ids.tolist()) == all_ids - full_ids
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_permutation_table_matches_sorted_tuples(n):
+    """The table streamed from ``permutations`` equals the one built from a
+    sorted list of tuples, row for row and id for id."""
+    rows = np.array(sorted(permutations(range(n))), dtype=np.uint8)
+    ids = ids_of_rows(rows, n)
+    order = np.argsort(ids)
+    got_rows, got_ids = _universe_elements(n, Universe.PERMUTATIONS)
+    assert got_rows.dtype == np.uint8 and got_rows.shape == (len(rows), n)
+    assert np.array_equal(got_rows, rows[order])
+    assert np.array_equal(got_ids, ids[order])
 
 
 def test_commute_mask_matches_pointwise():

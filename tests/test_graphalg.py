@@ -113,8 +113,8 @@ class TestDistance:
         monkeypatch.setattr(graphalg, "_expand_backtrack", recording)
         ctx = graphalg._GraphContext(g4)
         src = ctx.index_of(ALPHA)
-        back, _, _ = graphalg._bfs(ctx, src, strategy="backtrack")
-        scan, _, _ = graphalg._bfs(ctx, src, strategy="scan")
+        back, _ = graphalg._bfs(ctx, src, strategy="backtrack")
+        scan, _ = graphalg._bfs(ctx, src, strategy="scan")
         assert len(levels) >= 4
         for level in levels:
             assert len(np.unique(level)) == len(level)
@@ -150,6 +150,75 @@ class TestShortestPath:
     def test_no_path(self):
         g3 = CommGraph(3)
         assert shortest_path(g3, parse_element("(1 2 3)"), point_map(3, 0, 1)) is None
+
+
+# The kept oracle for the bidirectional pair search: one full single-source
+# sweep ``_bfs(ctx, src, need_parents=True)`` from a, then the parent walk back
+# from b, which steps to the minimum-index neighbour one level closer to a.
+CAPS = (None, 0, 1, 2, 3, 4)
+
+
+def _oracle_sweeps(ctx, strategy):
+    sweeps = {}
+
+    def answer(src, tgt):
+        if src not in sweeps:
+            sweeps[src] = graphalg._bfs(ctx, src, need_parents=True, strategy=strategy)
+        dist, parent = sweeps[src]
+        if dist[tgt] < 0:
+            return INFINITE, None
+        chain = [tgt]
+        while chain[-1] != src:
+            chain.append(int(parent[chain[-1]]))
+        return int(dist[tgt]), chain[::-1]
+
+    return answer
+
+
+def _check_pairs(g, pairs, strategy):
+    ctx = graphalg._GraphContext(g)
+    oracle = _oracle_sweeps(ctx, strategy)
+    for i, j in pairs:
+        a, b = ctx.ptrans_at(i), ctx.ptrans_at(j)
+        want, chain = oracle(i, j)
+        for cap in CAPS:
+            got = bfs_distance(g, a, b, cap=cap, strategy=strategy)
+            if want != INFINITE and (cap is None or want <= cap):
+                assert got == want, (a, b, cap)
+            elif got is not EXCEEDS_CAP:
+                assert got == INFINITE and want == INFINITE, (a, b, cap, got)
+            else:
+                assert cap is not None and want > cap, (a, b, cap)
+        cert = shortest_path(g, a, b, strategy=strategy)
+        if chain is None:
+            assert cert is None, (a, b)
+        else:
+            assert [t.encode() for t in cert.vertices] == [int(ctx.ids[k]) for k in chain], (a, b)
+
+
+def _sample_pairs(g, sources, targets, seed):
+    """Seeded pairs sharing few sources, so the oracle sweeps stay few."""
+    rng = random.Random(seed)
+    V = g.vertex_count()
+    return [(s, t) for s in rng.sample(range(V), sources) for t in rng.sample(range(V), targets)]
+
+
+class TestPairSearchMatchesSweep:
+    @pytest.mark.parametrize("strategy", ["scan", "backtrack"])
+    def test_every_pair_of_p3(self, strategy):
+        V = CommGraph(3).vertex_count()
+        _check_pairs(CommGraph(3), [(i, j) for i in range(V) for j in range(V)], strategy)
+
+    @pytest.mark.parametrize("strategy", ["scan", "backtrack"])
+    @pytest.mark.parametrize("semigroup", [Universe.ALL_PARTIAL, Universe.FULL], ids=["P4", "T4"])
+    def test_sampled_pairs_n4(self, semigroup, strategy):
+        g = CommGraph(4, semigroup)
+        _check_pairs(g, _sample_pairs(g, 6, 5, 53), strategy)
+
+    @pytest.mark.parametrize("semigroup", [Universe.ALL_PARTIAL, Universe.FULL], ids=["P5", "T5"])
+    def test_sampled_pairs_n5_scan(self, semigroup):
+        g = CommGraph(5, semigroup)
+        _check_pairs(g, _sample_pairs(g, 3, 5, 59), "scan")
 
 
 class TestVerifyPath:
