@@ -5,7 +5,9 @@ Every command prints either human-readable text or a stable JSON envelope
 result, strategy and elapsed seconds.  Exit codes: 0 computed/verified,
 1 refuted (no path, infinite or capped distance, failed replay, inconsistent
 oracle, disconnected graph in exact-diameter mode), 2 usage errors and refused
-or exhausted resources (element budget, sweep gate, memory).
+or exhausted resources (element budget, sweep gate, memory).  ``distance`` and
+``path`` need ``--long-run`` beyond the element budget; ``components`` and
+lower-only ``diameter`` beyond the sweep gate.
 
 Each ``cmd_*`` handler only computes and returns an :class:`Outcome`; ``main``
 times it, builds the envelope, prints, and maps every failure to an exit code.
@@ -25,6 +27,7 @@ from .commuting import (
     center,
     centralizer,
     commutes,
+    element_budget,
     pick_strategy,
     universe_size,
 )
@@ -118,6 +121,19 @@ def _require_sweep_budget(n: int, semigroup: Universe, long_run: bool, what: str
         print(f"# long run accepted: ~{cost:.1e} pair checks ahead", file=sys.stderr)
 
 
+def _require_pair_budget(n: int, semigroup: Universe, long_run: bool, what: str) -> None:
+    """The pair search needs --long-run only when the universe exceeds the
+    element budget, the bound at which ``pick_strategy`` stops scanning."""
+    v, budget = universe_size(n, semigroup), element_budget()
+    if v > budget and not long_run:
+        raise CliError(
+            f"{what} searches a universe of {v} elements, over the element budget of "
+            f"{budget}; rerun with --long-run to accept the cost",
+        )
+    if v > budget:
+        print(f"# long run accepted: a universe of {v} elements", file=sys.stderr)
+
+
 def cmd_center(args) -> Outcome:
     elems = [str(t) for t in center(args.n, _SEMIGROUPS[args.semigroup], args.mode)]
     return Outcome({"n": args.n, "semigroup": args.semigroup, "mode": args.mode},
@@ -143,7 +159,7 @@ def cmd_centralizer(args) -> Outcome:
 def cmd_distance(args) -> Outcome:
     a, b, inputs = _pair(args)
     semigroup = _SEMIGROUPS[args.semigroup]
-    _require_sweep_budget(a.n, semigroup, args.long_run, "a distance query")
+    _require_pair_budget(a.n, semigroup, args.long_run, "a distance query")
     strategy = pick_strategy(a.n, semigroup, args.strategy)
     d = bfs_distance(CommGraph(a.n, semigroup), a, b, cap=args.cap, strategy=strategy)
     if d is EXCEEDS_CAP:
@@ -161,7 +177,7 @@ def cmd_distance(args) -> Outcome:
 def cmd_path(args) -> Outcome:
     a, b, inputs = _pair(args)
     semigroup = _SEMIGROUPS[args.semigroup]
-    _require_sweep_budget(a.n, semigroup, args.long_run, "a shortest-path query")
+    _require_pair_budget(a.n, semigroup, args.long_run, "a shortest-path query")
     parameters = {"n": a.n, "semigroup": args.semigroup, "strategy": args.strategy}
     strategy = pick_strategy(a.n, semigroup, args.strategy)
     g = CommGraph(a.n, semigroup)

@@ -1,18 +1,23 @@
 """Distances, components and diameters over the implicit commuting graph.
 
-Two searches cover every query, and neither materialises the graph:
+Two kinds of search cover every query:
 
 * the pair search behind ``bfs_distance`` and ``shortest_path`` grows level
   sets from both endpoints, always the side with the smaller frontier, until
   they meet; the path is rebuilt by walking back from b, each step to the
-  minimum-index neighbour one level closer to a;
-* the single-source sweep ``_bfs`` runs one endpoint's BFS over its whole
-  component, for ``connected_components`` and lower-only ``diameter``.
+  minimum-index neighbour one level closer to a.  It never materialises the
+  graph: a level is expanded either by vectorised whole-universe scans (fast
+  at small n) or by the backtracking centralizer enumerator (wins when
+  centralizers are tiny compared to the universe);
+* the whole-graph sweeps behind ``connected_components`` and ``diameter``
+  run single-source level BFSes.  Under the scan strategy, and always in
+  exact mode, they read one int32 neighbour table built from the S_n orbit
+  representatives: conjugation by a permutation of the points is a graph
+  automorphism, so each vertex's row is a conjugate of its representative's
+  centralizer.  Under the backtrack strategy they run ``_bfs``.
 
-Both expand a level either by vectorised whole-universe scans (fast at small
-n) or by the backtracking centralizer enumerator (wins when centralizers are
-tiny compared to the universe).  Only the exact diameter of a connected graph
-builds the dense adjacency matrix.
+The dense adjacency matrix (``_adjacency``/``_ecc_block``) is no longer used
+by any query; it stays as the tests' independent oracle for exact diameters.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import permutations
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -168,7 +174,8 @@ def _bfs(ctx: _GraphContext, source: int, *, need_parents: bool = False, strateg
     """Level BFS from ``source`` over its whole component; returns (dist, parent).
 
     ``parent[v]`` is the minimum-index neighbour of ``v`` one level closer to
-    the source.
+    the source.  The whole-graph sweeps use it under the backtrack strategy;
+    with ``need_parents`` it is the tests' oracle for the pair search.
     """
     V = len(ctx.rows)
     dist = np.full(V, -1, dtype=np.int64)
@@ -183,6 +190,129 @@ def _bfs(ctx: _GraphContext, source: int, *, need_parents: bool = False, strateg
         dist[nxt] = level
         frontier = nxt
     return dist, parent
+
+
+class _NeighborCSR(NamedTuple):
+    """Every vertex's neighbours: row v is ``indices[indptr[v]:indptr[v + 1]]``."""
+
+    indptr: np.ndarray  # int32, V + 1 entries
+    indices: np.ndarray  # int32
+    reps: np.ndarray  # the orbit representatives, ascending
+
+
+def _conjugations(ctx: _GraphContext):
+    """For each permutation p of the points, identity first, the int32 table
+    taking every vertex index to the index of its conjugate (each point x
+    relabelled p(x)).  Indices are looked up by element id in a dense array."""
+    n = ctx.g.n
+    lookup = np.full((n + 1) ** n, -1, dtype=np.int32)
+    lookup[ctx.ids] = np.arange(len(ctx.ids), dtype=np.int32)
+    weight = (n + 1) ** np.arange(n, dtype=np.intp)
+    columns = [ctx.rows[:, x].astype(np.intp) for x in range(n)]
+    for p in permutations(range(n)):
+        # the conjugate's digit at point p(x) is p(t(x)), so image value v at
+        # point x adds p(v) * weight[p(x)] to its id (undefined stays n)
+        ext = np.array(p + (n,), dtype=np.intp)
+        ids = (ext * weight[p[0]])[columns[0]]
+        for x in range(1, n):
+            ids += (ext * weight[p[x]])[columns[x]]
+        yield lookup[ids]
+
+
+def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The positions of the CSR rows ``rows`` (at least one) in ``indices``,
+    concatenated."""
+    starts = indptr[rows].astype(np.int64)
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
+
+
+def _neighbor_csr(ctx: _GraphContext) -> _NeighborCSR:
+    """The neighbour table of the whole graph, from one ``commute_mask`` per
+    S_n orbit.
+
+    Conjugation by a permutation maps the vertex set onto itself and commuting
+    pairs onto commuting pairs.  So each vertex is labelled with the minimum
+    index over its conjugates (its orbit representative) and the permutation
+    that reaches it; the representatives' rows are scanned, and every other
+    vertex's row is its representative's row mapped back through the inverse
+    of that permutation's table.  Nothing is kept between calls.
+    """
+    V = len(ctx.rows)
+    rep = np.arange(V, dtype=np.int32)
+    via = np.zeros(V, dtype=np.int32)
+    for k, conj in enumerate(_conjugations(ctx)):
+        better = conj < rep
+        rep[better] = conj[better]
+        via[better] = k
+    reps = np.flatnonzero(rep == np.arange(V))
+    rows = []
+    for r in reps:
+        mask = commute_mask(ctx.rows, ctx.rows[r])
+        mask[r] = False
+        rows.append(np.flatnonzero(mask).astype(np.int32))
+    degree = np.zeros(V, dtype=np.int32)
+    degree[reps] = [len(row) for row in rows]
+    indptr = np.zeros(V + 1, dtype=np.int32)
+    np.cumsum(degree[rep], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[_segments(indptr, reps)] = np.concatenate(rows)
+    inverse = np.empty(V, dtype=np.int32)
+    for k, conj in enumerate(_conjugations(ctx)):
+        members = np.flatnonzero(via == k)
+        if k == 0 or not len(members):  # the identity reaches only the representatives
+            continue
+        inverse[conj] = np.arange(V, dtype=np.int32)
+        indices[_segments(indptr, members)] = inverse[indices[_segments(indptr, rep[members])]]
+    return _NeighborCSR(indptr, indices, reps)
+
+
+_CHUNK = 1024  # frontier vertices expanded at a time by ``_sweep``
+
+
+def _sweep(csr: _NeighborCSR, source: int) -> np.ndarray:
+    """Level BFS over the neighbour table from ``source``: int32 distances,
+    -1 where unreached."""
+    dist = np.full(len(csr.indptr) - 1, -1, dtype=np.int32)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while len(frontier):
+        level += 1
+        reached = []
+        for start in range(0, len(frontier), _CHUNK):
+            nbrs = csr.indices[_segments(csr.indptr, frontier[start : start + _CHUNK])]
+            nbrs = nbrs[dist[nbrs] < 0]
+            dist[nbrs] = level
+            reached.append(nbrs)
+        frontier = np.unique(np.concatenate(reached))
+    return dist
+
+
+def _sweeper(ctx: _GraphContext, strategy: str):
+    """``source -> dist`` for the whole-graph sweeps: the orbit neighbour table,
+    built once here, under the scan strategy, and ``_bfs`` under backtrack."""
+    if strategy == "scan":
+        csr = _neighbor_csr(ctx)
+        return lambda source: _sweep(csr, source)
+    return lambda source: _bfs(ctx, source, strategy=strategy)[0]
+
+
+def _label_components(V: int, sweep) -> tuple[np.ndarray, list[int], list[int]]:
+    """(int32 component label per vertex, minimum index and size per component),
+    one ``sweep(source) -> dist`` per component."""
+    labels = np.full(V, -1, dtype=np.int32)
+    seeds: list[int] = []
+    sizes: list[int] = []
+    for seed in range(V):
+        if labels[seed] >= 0:
+            continue
+        members = sweep(seed) >= 0
+        labels[members] = len(seeds)
+        seeds.append(seed)
+        sizes.append(int(members.sum()))
+    return labels, seeds, sizes
 
 
 def _touching(ctx: _GraphContext, cand: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -308,7 +438,7 @@ class ComponentSummary:
     count: int
     sizes: tuple[int, ...]
     representatives: tuple[PTrans, ...]
-    labels: np.ndarray  # component index per vertex, aligned with vertex id order
+    labels: np.ndarray  # int32 component index per vertex, aligned with vertex id order
 
 
 def connected_components(g: CommGraph, strategy: str = "auto") -> ComponentSummary:
@@ -316,22 +446,10 @@ def connected_components(g: CommGraph, strategy: str = "auto") -> ComponentSumma
     minimum-id vertices, components ordered by representative."""
     check_scan_budget(g.n, g.semigroup)
     ctx = _GraphContext(g)
-    strategy = pick_strategy(g.n, g.semigroup, strategy)
-    V = len(ctx.rows)
-    labels = np.full(V, -1, dtype=np.int64)
-    reps = []
-    sizes = []
-    comp = 0
-    for seed in range(V):
-        if labels[seed] >= 0:
-            continue
-        dist, _ = _bfs(ctx, seed, strategy=strategy)
-        members = dist >= 0
-        labels[members] = comp
-        reps.append(ctx.ptrans_at(seed))
-        sizes.append(int(members.sum()))
-        comp += 1
-    return ComponentSummary(comp, tuple(sizes), tuple(reps), labels)
+    sweep = _sweeper(ctx, pick_strategy(g.n, g.semigroup, strategy))
+    labels, seeds, sizes = _label_components(len(ctx.rows), sweep)
+    return ComponentSummary(len(seeds), tuple(sizes), tuple(ctx.ptrans_at(s) for s in seeds),
+                            labels)
 
 
 # -- diameter --------------------------------------------------------------------
@@ -351,6 +469,9 @@ class DiameterReport:
 
 
 def _adjacency(ctx: _GraphContext) -> np.ndarray:
+    """The dense V x V adjacency matrix.  No query builds it any more; with
+    ``_ecc_block`` it is the tests' independent oracle for ``diameter``, and
+    the benchmark's tracer resolves both names."""
     V = len(ctx.rows)
     adj = np.zeros((V, V), dtype=bool)
     for start in range(0, V, _BATCH):
@@ -360,7 +481,8 @@ def _adjacency(ctx: _GraphContext) -> np.ndarray:
 
 
 def _ecc_block(adj: np.ndarray, sources: range) -> tuple[int, int, int]:
-    """(ecc, source, target) maximised over the sources, smallest ids on ties."""
+    """(ecc, source, target) maximised over the sources, smallest ids on ties;
+    the dense oracle for exact ``diameter`` (see ``_adjacency``)."""
     best = (-1, -1, -1)
     V = len(adj)
     for s in sources:
@@ -391,10 +513,13 @@ def diameter(
 ) -> DiameterReport:
     """Exact diameter, or a certified lower bound from seeds.
 
-    Exact mode first partitions the vertices into components; a disconnected
-    graph is reported with its component count and sizes and no diameter.
-    Only a connected graph gets the all-sources eccentricity sweep over the
-    dense adjacency matrix.
+    Exact mode builds the orbit neighbour table once and partitions the
+    vertices into components from it; a disconnected graph is reported with
+    its component count and sizes and no diameter.  A connected graph is swept
+    only from the orbit representatives, since conjugation preserves
+    eccentricity; the witness is the smallest vertex of maximum eccentricity
+    (always a representative) and the smallest vertex farthest from it.
+    ``strategy`` picks how lower-only sweeps find neighbours.
     """
     t0 = time.perf_counter()
     if mode == "exact":
@@ -404,16 +529,23 @@ def diameter(
                 f"exact diameter for this semigroup is budgeted to n <= {limit}; "
                 "pass long_run=True to force it"
             )
-        comps = connected_components(g, strategy=strategy)
-        if comps.count > 1:
+        check_scan_budget(g.n, g.semigroup)
+        pick_strategy(g.n, g.semigroup, strategy)  # rejects an unknown strategy
+        ctx = _GraphContext(g)
+        csr = _neighbor_csr(ctx)
+        _, _, sizes = _label_components(len(ctx.rows), lambda s: _sweep(csr, s))
+        if len(sizes) > 1:
             return DiameterReport(
-                g.n, g.semigroup, True, None, False, comps.count, comps.sizes, None,
+                g.n, g.semigroup, True, None, False, len(sizes), tuple(sizes), None,
                 time.perf_counter() - t0,
             )
-        ctx = _GraphContext(g)
-        ecc, s, t = _ecc_block(_adjacency(ctx), range(len(ctx.rows)))
+        ecc, s, t = -1, -1, -1
+        for r in csr.reps:
+            dist = _sweep(csr, int(r))
+            if dist.max() > ecc:
+                ecc, s, t = int(dist.max()), int(r), int(np.flatnonzero(dist == dist.max())[0])
         return DiameterReport(
-            g.n, g.semigroup, True, ecc, True, 1, comps.sizes,
+            g.n, g.semigroup, True, ecc, True, 1, tuple(sizes),
             (ctx.ptrans_at(s), ctx.ptrans_at(t)), time.perf_counter() - t0,
         )
     if mode != "lower-only":
@@ -421,7 +553,7 @@ def diameter(
     if not seeds:
         raise ValueError("lower-only mode needs at least one seed vertex")
     ctx = _GraphContext(g)
-    strategy = pick_strategy(g.n, g.semigroup, strategy)
+    sweep = _sweeper(ctx, pick_strategy(g.n, g.semigroup, strategy))
     bound = -1
     witness: tuple[PTrans, PTrans] | None = None
     connected: bool | None = None
@@ -429,7 +561,7 @@ def diameter(
         if not is_vertex(g, seed):
             raise NotAVertexError(f"{seed!r} is central, not a vertex")
         src = ctx.index_of(seed)
-        dist, _ = _bfs(ctx, src, strategy=strategy)
+        dist = sweep(src)
         reached = dist >= 0
         connected = bool(reached.all()) if connected is None else connected and bool(reached.all())
         ecc = int(dist.max())

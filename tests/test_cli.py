@@ -29,6 +29,14 @@ class TestCommands:
         assert code == 0
         assert "distance: 4" in out
 
+    def test_distance_n6_witness_within_element_budget(self, capsys):
+        # P(6) has 117 649 elements, within the element budget, so the pair
+        # search runs without --long-run.
+        code, out, err = run_cli(capsys, "distance", "--n", "6",
+                                 "--a", "2 3 4 5 6 1", "--b", "2 3 5 1 2 4")
+        assert code == 0, err
+        assert out == "distance: 5\n"
+
     def test_distance_infinite_exits_one(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--n", "3",
                                "--a", "(1 2 3)", "--b", "- 1 -")
@@ -145,10 +153,17 @@ class TestErrors:
         assert "budget" in err
 
     def test_sweep_gate_requires_long_run(self, capsys):
-        code, _, err = run_cli(capsys, "distance", "--n", "6",
-                               "--a", "(1 2 3 4 5 6)", "--b", "[6 4 1 2](2 3 5)")
+        # P(7) has 8^7 elements, over the element budget: the pair search is
+        # gated, for distance and path alike.
+        for cmd in ("distance", "path"):
+            code, out, err = run_cli(capsys, cmd, "--n", "7",
+                                     "--a", "2 3 4 5 6 7 1", "--b", "2 3 5 1 2 4 7")
+            assert code == 2 and out == ""
+            assert "element budget" in err and "--long-run" in err
+        # the whole-graph sweeps keep their vertex-pair gate at n = 6
+        code, _, err = run_cli(capsys, "components", "--n", "6")
         assert code == 2
-        assert "--long-run" in err
+        assert "pair checks" in err and "--long-run" in err
 
     def test_witness_prime_rejected(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--n", "5")

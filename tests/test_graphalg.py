@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from commgraph import graphalg
+from commgraph.commuting import commute_mask
 from commgraph import (
     BudgetExceededError,
     CommGraph,
@@ -158,13 +159,25 @@ class TestShortestPath:
 CAPS = (None, 0, 1, 2, 3, 4)
 
 
-def _oracle_sweeps(ctx, strategy):
-    sweeps = {}
+@pytest.fixture(scope="module")
+def oracle_bfs():
+    """``_bfs(ctx, src, need_parents=True)``, cached per graph, source and
+    strategy, so the tests of this module that check against one sweep share
+    it (one P(5) sweep takes about 0.5 s)."""
+    cache = {}
 
+    def sweep(ctx, src, strategy):
+        key = (ctx.g, src, strategy)
+        if key not in cache:
+            cache[key] = graphalg._bfs(ctx, src, need_parents=True, strategy=strategy)
+        return cache[key]
+
+    return sweep
+
+
+def _oracle_sweeps(ctx, strategy, oracle_bfs):
     def answer(src, tgt):
-        if src not in sweeps:
-            sweeps[src] = graphalg._bfs(ctx, src, need_parents=True, strategy=strategy)
-        dist, parent = sweeps[src]
+        dist, parent = oracle_bfs(ctx, src, strategy)
         if dist[tgt] < 0:
             return INFINITE, None
         chain = [tgt]
@@ -175,9 +188,9 @@ def _oracle_sweeps(ctx, strategy):
     return answer
 
 
-def _check_pairs(g, pairs, strategy):
+def _check_pairs(g, pairs, strategy, oracle_bfs):
     ctx = graphalg._GraphContext(g)
-    oracle = _oracle_sweeps(ctx, strategy)
+    oracle = _oracle_sweeps(ctx, strategy, oracle_bfs)
     for i, j in pairs:
         a, b = ctx.ptrans_at(i), ctx.ptrans_at(j)
         want, chain = oracle(i, j)
@@ -205,20 +218,99 @@ def _sample_pairs(g, sources, targets, seed):
 
 class TestPairSearchMatchesSweep:
     @pytest.mark.parametrize("strategy", ["scan", "backtrack"])
-    def test_every_pair_of_p3(self, strategy):
+    def test_every_pair_of_p3(self, strategy, oracle_bfs):
         V = CommGraph(3).vertex_count()
-        _check_pairs(CommGraph(3), [(i, j) for i in range(V) for j in range(V)], strategy)
+        _check_pairs(CommGraph(3), [(i, j) for i in range(V) for j in range(V)], strategy,
+                     oracle_bfs)
 
     @pytest.mark.parametrize("strategy", ["scan", "backtrack"])
     @pytest.mark.parametrize("semigroup", [Universe.ALL_PARTIAL, Universe.FULL], ids=["P4", "T4"])
-    def test_sampled_pairs_n4(self, semigroup, strategy):
+    def test_sampled_pairs_n4(self, semigroup, strategy, oracle_bfs):
         g = CommGraph(4, semigroup)
-        _check_pairs(g, _sample_pairs(g, 6, 5, 53), strategy)
+        _check_pairs(g, _sample_pairs(g, 6, 5, 53), strategy, oracle_bfs)
 
     @pytest.mark.parametrize("semigroup", [Universe.ALL_PARTIAL, Universe.FULL], ids=["P5", "T5"])
-    def test_sampled_pairs_n5_scan(self, semigroup):
+    def test_sampled_pairs_n5_scan(self, semigroup, oracle_bfs):
         g = CommGraph(5, semigroup)
-        _check_pairs(g, _sample_pairs(g, 3, 5, 59), "scan")
+        _check_pairs(g, _sample_pairs(g, 3, 5, 59), "scan", oracle_bfs)
+
+
+SMALL_GRAPHS = [CommGraph(2), CommGraph(3), CommGraph(4),
+                CommGraph(3, Universe.FULL), CommGraph(4, Universe.FULL)]
+
+
+def _graph_id(g):
+    return f"{'T' if g.semigroup is Universe.FULL else 'P'}{g.n}"
+
+
+def _bfs_labels(ctx):
+    """Component labels by one scan ``_bfs`` per component, minimum index first."""
+    labels = np.full(len(ctx.rows), -1)
+    for seed in range(len(ctx.rows)):
+        if labels[seed] < 0:
+            labels[graphalg._bfs(ctx, seed)[0] >= 0] = labels.max() + 1
+    return labels
+
+
+class TestOrbitTable:
+    """The orbit-conjugated neighbour table against the kernels it replaces."""
+
+    @pytest.mark.parametrize("g", SMALL_GRAPHS + [CommGraph(5, Universe.FULL)], ids=_graph_id)
+    def test_rows_equal_commute_mask(self, g):
+        ctx = graphalg._GraphContext(g)
+        csr = graphalg._neighbor_csr(ctx)
+        assert csr.indptr.dtype == csr.indices.dtype == np.int32
+        for v in range(len(ctx.rows)):
+            mask = commute_mask(ctx.rows, ctx.rows[v])
+            mask[v] = False
+            row = np.sort(csr.indices[csr.indptr[v] : csr.indptr[v + 1]])
+            assert np.array_equal(row, np.flatnonzero(mask)), v
+
+    @pytest.mark.parametrize("g,sources", [
+        (CommGraph(4), 14), (CommGraph(5, Universe.FULL), 3), (CommGraph(5), 3),
+    ], ids=["P4", "T5", "P5"])
+    def test_sweep_equals_bfs(self, g, sources, oracle_bfs):
+        # 20 sources in all.  At n = 5 they are the sampled pair test's
+        # sources, so the slow oracle sweeps are shared through the cache.
+        ctx = graphalg._GraphContext(g)
+        csr = graphalg._neighbor_csr(ctx)
+        if g.n == 5:
+            picked = sorted({s for s, _ in _sample_pairs(g, 3, 5, 59)})
+        else:
+            picked = random.Random(61).sample(range(len(ctx.rows)), sources)
+        assert len(picked) == sources
+        for src in picked:
+            assert np.array_equal(graphalg._sweep(csr, src), oracle_bfs(ctx, src, "scan")[0]), src
+
+    @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=_graph_id)
+    def test_exact_diameter_equals_dense_oracle(self, g):
+        ctx = graphalg._GraphContext(g)
+        adj = graphalg._adjacency(ctx)
+        rep = diameter(g)
+        comps = sorted(nx.connected_components(nx.from_numpy_array(adj)), key=min)
+        sizes = [len(c) for c in comps]
+        if len(sizes) > 1:
+            assert rep.connected is False and rep.diameter is None
+            assert (rep.component_count, rep.component_sizes) == (len(sizes), tuple(sizes))
+            return
+        ecc, s, t = graphalg._ecc_block(adj, range(len(ctx.rows)))
+        assert rep.connected and rep.diameter == ecc
+        assert rep.witness_pair == (ctx.ptrans_at(s), ctx.ptrans_at(t))
+
+    def test_exact_diameter_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dense oracle was called")
+
+        monkeypatch.setattr(graphalg, "_adjacency", refuse)
+        monkeypatch.setattr(graphalg, "_ecc_block", refuse)
+        rep = diameter(CommGraph(4))
+        assert rep.diameter == 4 and rep.connected
+
+    @pytest.mark.parametrize("g", [CommGraph(4), CommGraph(5, Universe.FULL)], ids=["P4", "T5"])
+    def test_component_labels_int32_and_equal_bfs(self, g):
+        labels = connected_components(g).labels
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, _bfs_labels(graphalg._GraphContext(g)))
 
 
 class TestVerifyPath:
