@@ -220,16 +220,6 @@ def is_vertex(g: CommGraph, t: PTrans) -> bool:
     return t.encode() not in center_ids(g)
 
 
-def _in_universe(t: PTrans, universe: Universe) -> bool:
-    if universe is Universe.ALL_PARTIAL:
-        return True
-    if universe is Universe.FULL:
-        return t.is_full()
-    if universe is Universe.PERMUTATIONS:
-        return t.is_permutation()
-    return not t.is_full()
-
-
 def _backtrack_images(
     subjects: Sequence[PTrans], universe: Universe, budget: int | None = None
 ) -> list[tuple[int, ...]]:

@@ -10,14 +10,17 @@ Two kinds of search cover every query:
   at small n) or by the backtracking centralizer enumerator (wins when
   centralizers are tiny compared to the universe);
 * the whole-graph sweeps behind ``connected_components`` and ``diameter``
-  run single-source level BFSes.  Under the scan strategy, and always in
-  exact mode, they read one int32 neighbour table built from the S_n orbit
-  representatives: conjugation by a permutation of the points is a graph
-  automorphism, so each vertex's row is a conjugate of its representative's
-  centralizer.  Under the backtrack strategy they run ``_bfs``.
+  run single-source level BFSes over one int32 neighbour table built from
+  the S_n orbit representatives: conjugation by a permutation of the points
+  is a graph automorphism, so each vertex's row is a conjugate of its
+  representative's centralizer.
 
-The dense adjacency matrix (``_adjacency``/``_ecc_block``) is no longer used
-by any query; it stays as the tests' independent oracle for exact diameters.
+Each strategy has one neighbour primitive, ``_GraphContext.row``, which feeds
+both the backtracking level expansion and the table; the scan strategy's
+set-against-set form is ``_touching``.  ``_bfs`` and the dense matrix
+(``_adjacency``/``_ecc_block``) serve no query: they are the tests' named
+oracles, kept in this module because the benchmark's tracer resolves them by
+name.
 """
 
 from __future__ import annotations
@@ -40,13 +43,14 @@ from .commuting import (
     commute_mask,
     commute_masks_batch,
     commutes,
+    ids_of_rows,
     is_vertex,
     pick_strategy,
     ptrans_of_row,
     _backtrack_images,
     _universe_elements,
 )
-from .ptrans import PTrans
+from .ptrans import UNDEF, PTrans
 
 INFINITE = math.inf
 
@@ -59,8 +63,6 @@ class _ExceedsCap:
 
 
 EXCEEDS_CAP = _ExceedsCap()
-
-_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -130,52 +132,71 @@ class _GraphContext:
     def ptrans_at(self, idx: int) -> PTrans:
         return ptrans_of_row(self.rows[idx], self.g.n)
 
+    def row(self, v: int, strategy: str) -> np.ndarray:
+        """The neighbours of vertex ``v`` as ascending vertex indices: one
+        ``commute_mask`` over every vertex under the scan strategy, the
+        backtracking centralizer of ``v`` located by element id under
+        backtrack."""
+        if strategy == "scan":
+            mask = commute_mask(self.rows, self.rows[v])
+            mask[v] = False
+            return np.flatnonzero(mask)
+        sols = np.array(_backtrack_images([self.ptrans_at(v)], self.g.semigroup))
+        ids = ids_of_rows(np.where(sols == UNDEF, self.g.n, sols), self.g.n)
+        pos = np.searchsorted(self.ids, ids)
+        found = pos[self.ids[np.minimum(pos, len(self.ids) - 1)] == ids]  # drops the center
+        return np.sort(found[found != v])
+
+
+def _touching(ctx: _GraphContext, cand: np.ndarray, frontier: np.ndarray,
+              parent: np.ndarray | None = None) -> np.ndarray:
+    """The vertices of ``cand`` that commute with some vertex of the sorted
+    ``frontier``, by one ``commute_mask`` per vertex of the smaller side
+    (commuting is symmetric).  With ``parent``, each hit's entry is set to its
+    minimum-index neighbour in ``frontier``."""
+    hit = np.zeros(len(cand), dtype=bool)
+    if len(frontier) <= len(cand):
+        sub = ctx.rows[cand]
+        for v in frontier:
+            mask = commute_mask(sub, ctx.rows[v])
+            if parent is not None:
+                parent[cand[mask & ~hit]] = v
+            hit |= mask
+    else:
+        sub = ctx.rows[frontier]
+        for i, c in enumerate(cand):
+            mask = commute_mask(sub, ctx.rows[c])
+            hit[i] = mask.any()
+            if parent is not None and hit[i]:
+                parent[c] = frontier[mask.argmax()]
+    return cand[hit]
+
 
 def _expand_scan(ctx: _GraphContext, frontier: np.ndarray, dist: np.ndarray, parent: np.ndarray | None):
-    """One BFS level via batched commute scans restricted to unvisited columns."""
-    unvisited = np.nonzero(dist < 0)[0]
-    if len(unvisited) == 0:
-        return np.empty(0, dtype=np.int64)
-    sub = ctx.rows[unvisited]
-    found = np.zeros(len(unvisited), dtype=bool)
-    for start in range(0, len(frontier), _BATCH):
-        chunk = frontier[start : start + _BATCH]
-        masks = commute_masks_batch(sub, ctx.rows[chunk])
-        anym = masks.any(axis=0)
-        new = anym & ~found
-        if parent is not None and new.any():
-            first = masks[:, new].argmax(axis=0)
-            parent[unvisited[new]] = chunk[first]
-        found |= anym
-    return unvisited[found]
+    """One BFS level: the unvisited vertices touching the frontier."""
+    return _touching(ctx, np.flatnonzero(dist < 0), frontier, parent)
 
 
 def _expand_backtrack(ctx: _GraphContext, frontier: np.ndarray, dist: np.ndarray, parent: np.ndarray | None):
-    out = []
-    for v in frontier:
-        t = ctx.ptrans_at(int(v))
-        for sol in _backtrack_images([t], ctx.g.semigroup):
-            u = PTrans(ctx.g.n, sol)
-            uid = u.encode()
-            pos = int(np.searchsorted(ctx.ids, uid))
-            if pos >= len(ctx.ids) or ctx.ids[pos] != uid:
-                continue
-            if dist[pos] == -1:
-                dist[pos] = -2  # claimed this level, final value set by caller
-                if parent is not None:
-                    parent[pos] = v
-                out.append(pos)
-    res = np.array(sorted(out), dtype=np.int64)
-    dist[res] = -1
-    return res
+    """One BFS level: the unvisited vertices in the backtracking rows of the
+    sorted frontier."""
+    rows = [ctx.row(int(v), "backtrack") for v in frontier]
+    owner = np.repeat(frontier, [len(row) for row in rows])
+    found = np.concatenate(rows)
+    fresh = dist[found] == -1
+    new, first = np.unique(found[fresh], return_index=True)
+    if parent is not None:
+        parent[new] = owner[fresh][first]
+    return new
 
 
 def _bfs(ctx: _GraphContext, source: int, *, need_parents: bool = False, strategy: str = "scan"):
     """Level BFS from ``source`` over its whole component; returns (dist, parent).
 
     ``parent[v]`` is the minimum-index neighbour of ``v`` one level closer to
-    the source.  The whole-graph sweeps use it under the backtrack strategy;
-    with ``need_parents`` it is the tests' oracle for the pair search.
+    the source.  No query calls this: it is the tests' oracle for the pair
+    search and the sweeps, kept here until the benchmark's tracer stops
+    resolving it by name (ROADMAP item 1).
     """
     V = len(ctx.rows)
     dist = np.full(V, -1, dtype=np.int64)
@@ -228,14 +249,14 @@ def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
 
 
-def _neighbor_csr(ctx: _GraphContext) -> _NeighborCSR:
-    """The neighbour table of the whole graph, from one ``commute_mask`` per
-    S_n orbit.
+def _neighbor_csr(ctx: _GraphContext, strategy: str) -> _NeighborCSR:
+    """The neighbour table of the whole graph, from one ``ctx.row`` per S_n
+    orbit.
 
     Conjugation by a permutation maps the vertex set onto itself and commuting
     pairs onto commuting pairs.  So each vertex is labelled with the minimum
     index over its conjugates (its orbit representative) and the permutation
-    that reaches it; the representatives' rows are scanned, and every other
+    that reaches it; the representatives' rows are found, and every other
     vertex's row is its representative's row mapped back through the inverse
     of that permutation's table.  Nothing is kept between calls.
     """
@@ -247,11 +268,7 @@ def _neighbor_csr(ctx: _GraphContext) -> _NeighborCSR:
         rep[better] = conj[better]
         via[better] = k
     reps = np.flatnonzero(rep == np.arange(V))
-    rows = []
-    for r in reps:
-        mask = commute_mask(ctx.rows, ctx.rows[r])
-        mask[r] = False
-        rows.append(np.flatnonzero(mask).astype(np.int32))
+    rows = [ctx.row(int(r), strategy).astype(np.int32) for r in reps]
     degree = np.zeros(V, dtype=np.int32)
     degree[reps] = [len(row) for row in rows]
     indptr = np.zeros(V + 1, dtype=np.int32)
@@ -290,38 +307,21 @@ def _sweep(csr: _NeighborCSR, source: int) -> np.ndarray:
     return dist
 
 
-def _sweeper(ctx: _GraphContext, strategy: str):
-    """``source -> dist`` for the whole-graph sweeps: the orbit neighbour table,
-    built once here, under the scan strategy, and ``_bfs`` under backtrack."""
-    if strategy == "scan":
-        csr = _neighbor_csr(ctx)
-        return lambda source: _sweep(csr, source)
-    return lambda source: _bfs(ctx, source, strategy=strategy)[0]
-
-
-def _label_components(V: int, sweep) -> tuple[np.ndarray, list[int], list[int]]:
+def _label_components(csr: _NeighborCSR) -> tuple[np.ndarray, list[int], list[int]]:
     """(int32 component label per vertex, minimum index and size per component),
-    one ``sweep(source) -> dist`` per component."""
+    one sweep per component."""
+    V = len(csr.indptr) - 1
     labels = np.full(V, -1, dtype=np.int32)
     seeds: list[int] = []
     sizes: list[int] = []
     for seed in range(V):
         if labels[seed] >= 0:
             continue
-        members = sweep(seed) >= 0
+        members = _sweep(csr, seed) >= 0
         labels[members] = len(seeds)
         seeds.append(seed)
         sizes.append(int(members.sum()))
     return labels, seeds, sizes
-
-
-def _touching(ctx: _GraphContext, cand: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """The vertices of ``cand`` that commute with some vertex of ``frontier``."""
-    sub = ctx.rows[cand]
-    hit = np.zeros(len(cand), dtype=bool)
-    for start in range(0, len(frontier), _BATCH):
-        hit |= commute_masks_batch(sub, ctx.rows[frontier[start : start + _BATCH]]).any(axis=0)
-    return cand[hit]
 
 
 def _meet(ctx: _GraphContext, src: int, tgt: int, cap: int | None, strategy: str):
@@ -445,9 +445,9 @@ def connected_components(g: CommGraph, strategy: str = "auto") -> ComponentSumma
     """Partition of the vertex set by reachability; representatives are the
     minimum-id vertices, components ordered by representative."""
     check_scan_budget(g.n, g.semigroup)
+    strategy = pick_strategy(g.n, g.semigroup, strategy)
     ctx = _GraphContext(g)
-    sweep = _sweeper(ctx, pick_strategy(g.n, g.semigroup, strategy))
-    labels, seeds, sizes = _label_components(len(ctx.rows), sweep)
+    labels, seeds, sizes = _label_components(_neighbor_csr(ctx, strategy))
     return ComponentSummary(len(seeds), tuple(sizes), tuple(ctx.ptrans_at(s) for s in seeds),
                             labels)
 
@@ -469,20 +469,18 @@ class DiameterReport:
 
 
 def _adjacency(ctx: _GraphContext) -> np.ndarray:
-    """The dense V x V adjacency matrix.  No query builds it any more; with
-    ``_ecc_block`` it is the tests' independent oracle for ``diameter``, and
-    the benchmark's tracer resolves both names."""
-    V = len(ctx.rows)
-    adj = np.zeros((V, V), dtype=bool)
-    for start in range(0, V, _BATCH):
-        adj[start : start + _BATCH] = commute_masks_batch(ctx.rows, ctx.rows[start : start + _BATCH])
+    """The dense V x V adjacency matrix, from one batch scan of V * V * n bytes
+    twice, so only for small graphs.  No query builds it: with ``_ecc_block``
+    it is the tests' oracle for ``diameter``, kept here until the benchmark's
+    tracer stops resolving both names (ROADMAP item 1)."""
+    adj = commute_masks_batch(ctx.rows, ctx.rows)
     np.fill_diagonal(adj, False)
     return adj
 
 
 def _ecc_block(adj: np.ndarray, sources: range) -> tuple[int, int, int]:
     """(ecc, source, target) maximised over the sources, smallest ids on ties;
-    the dense oracle for exact ``diameter`` (see ``_adjacency``)."""
+    the tests' dense oracle for exact ``diameter`` (see ``_adjacency``)."""
     best = (-1, -1, -1)
     V = len(adj)
     for s in sources:
@@ -519,7 +517,9 @@ def diameter(
     only from the orbit representatives, since conjugation preserves
     eccentricity; the witness is the smallest vertex of maximum eccentricity
     (always a representative) and the smallest vertex farthest from it.
-    ``strategy`` picks how lower-only sweeps find neighbours.
+    Lower-only mode sweeps the same table once per seed.  ``strategy`` picks
+    how the table's representative rows are found; both modes answer the
+    same under either.
     """
     t0 = time.perf_counter()
     if mode == "exact":
@@ -530,10 +530,9 @@ def diameter(
                 "pass long_run=True to force it"
             )
         check_scan_budget(g.n, g.semigroup)
-        pick_strategy(g.n, g.semigroup, strategy)  # rejects an unknown strategy
         ctx = _GraphContext(g)
-        csr = _neighbor_csr(ctx)
-        _, _, sizes = _label_components(len(ctx.rows), lambda s: _sweep(csr, s))
+        csr = _neighbor_csr(ctx, pick_strategy(g.n, g.semigroup, strategy))
+        _, _, sizes = _label_components(csr)
         if len(sizes) > 1:
             return DiameterReport(
                 g.n, g.semigroup, True, None, False, len(sizes), tuple(sizes), None,
@@ -552,18 +551,17 @@ def diameter(
         raise ValueError(f"unknown diameter mode {mode!r}")
     if not seeds:
         raise ValueError("lower-only mode needs at least one seed vertex")
-    ctx = _GraphContext(g)
-    sweep = _sweeper(ctx, pick_strategy(g.n, g.semigroup, strategy))
-    bound = -1
-    witness: tuple[PTrans, PTrans] | None = None
-    connected: bool | None = None
     for seed in seeds:
         if not is_vertex(g, seed):
             raise NotAVertexError(f"{seed!r} is central, not a vertex")
-        src = ctx.index_of(seed)
-        dist = sweep(src)
-        reached = dist >= 0
-        connected = bool(reached.all()) if connected is None else connected and bool(reached.all())
+    check_scan_budget(g.n, g.semigroup, long_run=long_run)
+    strategy = pick_strategy(g.n, g.semigroup, strategy)
+    ctx = _GraphContext(g)
+    csr = _neighbor_csr(ctx, strategy)
+    bound, witness, connected = -1, None, True
+    for seed in seeds:
+        dist = _sweep(csr, ctx.index_of(seed))
+        connected = connected and bool((dist >= 0).all())
         ecc = int(dist.max())
         if ecc > bound:
             bound = ecc

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from commgraph import graphalg
-from commgraph.commuting import commute_mask
+from commgraph.commuting import commute_mask, commute_masks_batch
 from commgraph import (
     BudgetExceededError,
     CommGraph,
@@ -237,6 +238,7 @@ class TestPairSearchMatchesSweep:
 
 SMALL_GRAPHS = [CommGraph(2), CommGraph(3), CommGraph(4),
                 CommGraph(3, Universe.FULL), CommGraph(4, Universe.FULL)]
+SWEEP_GRAPHS = [CommGraph(3), CommGraph(4), CommGraph(4, Universe.FULL)]
 
 
 def _graph_id(g):
@@ -255,16 +257,37 @@ def _bfs_labels(ctx):
 class TestOrbitTable:
     """The orbit-conjugated neighbour table against the kernels it replaces."""
 
+    @pytest.mark.parametrize("strategy", ["scan", "backtrack"])
     @pytest.mark.parametrize("g", SMALL_GRAPHS + [CommGraph(5, Universe.FULL)], ids=_graph_id)
-    def test_rows_equal_commute_mask(self, g):
+    def test_rows_equal_commute_mask(self, g, strategy):
         ctx = graphalg._GraphContext(g)
-        csr = graphalg._neighbor_csr(ctx)
+        csr = graphalg._neighbor_csr(ctx, strategy)
         assert csr.indptr.dtype == csr.indices.dtype == np.int32
         for v in range(len(ctx.rows)):
             mask = commute_mask(ctx.rows, ctx.rows[v])
             mask[v] = False
             row = np.sort(csr.indices[csr.indptr[v] : csr.indptr[v + 1]])
             assert np.array_equal(row, np.flatnonzero(mask)), v
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS, ids=_graph_id)
+    def test_touching_equals_batch_kernel(self, g):
+        # frontier smaller than the candidates, larger, and empty; the
+        # parents are each hit's minimum-index neighbour in the frontier
+        ctx = graphalg._GraphContext(g)
+        rng = np.random.default_rng(67)
+        V = len(ctx.rows)
+        for nf, nc in [(8, 60), (60, 8), (0, 60)]:
+            frontier = np.sort(rng.choice(V, nf, replace=False))
+            cand = np.sort(rng.choice(V, nc, replace=False))
+            masks = commute_masks_batch(ctx.rows[cand], ctx.rows[frontier])
+            parent = np.full(V, -1)
+            got = graphalg._touching(ctx, cand, frontier, parent)
+            hit = masks.any(axis=0)
+            assert np.array_equal(got, cand[hit]), (nf, nc)
+            if nf:
+                assert np.array_equal(parent[got], frontier[masks[:, hit].argmax(axis=0)]), nf
+            assert (parent[cand[~hit]] == -1).all()
+            assert np.array_equal(graphalg._touching(ctx, cand, frontier), got)
 
     @pytest.mark.parametrize("g,sources", [
         (CommGraph(4), 14), (CommGraph(5, Universe.FULL), 3), (CommGraph(5), 3),
@@ -273,7 +296,7 @@ class TestOrbitTable:
         # 20 sources in all.  At n = 5 they are the sampled pair test's
         # sources, so the slow oracle sweeps are shared through the cache.
         ctx = graphalg._GraphContext(g)
-        csr = graphalg._neighbor_csr(ctx)
+        csr = graphalg._neighbor_csr(ctx, "scan")
         if g.n == 5:
             picked = sorted({s for s, _ in _sample_pairs(g, 3, 5, 59)})
         else:
@@ -311,6 +334,42 @@ class TestOrbitTable:
         labels = connected_components(g).labels
         assert labels.dtype == np.int32
         assert np.array_equal(labels, _bfs_labels(graphalg._GraphContext(g)))
+
+
+def _sweep_queries(g, strategy):
+    """Components, exact and lower-only diameter of ``g``, timing dropped."""
+    comps = connected_components(g, strategy=strategy)
+    seeds = [ALPHA] if g.n == 4 else [parse_element("(1 2 3)"), point_map(3, 0, 1)]
+    reports = [diameter(g, strategy=strategy),
+               diameter(g, mode="lower-only", seeds=seeds, strategy=strategy)]
+    return ((comps.count, comps.sizes, comps.representatives, comps.labels.tolist()),
+            *(dataclasses.replace(r, elapsed_s=0.0) for r in reports))
+
+
+class TestSweepEngine:
+    """Every whole-graph query reads the orbit table under either strategy."""
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS, ids=_graph_id)
+    def test_strategies_give_identical_reports(self, g):
+        assert _sweep_queries(g, "backtrack") == _sweep_queries(g, "scan")
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS, ids=_graph_id)
+    def test_backtrack_runs_no_bfs(self, g, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a query called _bfs")
+
+        monkeypatch.setattr(graphalg, "_bfs", refuse)
+        _sweep_queries(g, "backtrack")
+
+    def test_lower_only_checks_budget_before_building(self, monkeypatch):
+        # the P(7) table would take about 1.8 GB; only the refusal is tested
+        def refuse(g):
+            raise AssertionError("a graph context was built")
+
+        monkeypatch.setattr(graphalg, "_GraphContext", refuse)
+        seed = PTrans(7, (1, 0, 2, 3, 4, 5, 6))
+        with pytest.raises(BudgetExceededError):
+            diameter(CommGraph(7), mode="lower-only", seeds=[seed])
 
 
 class TestVerifyPath:
