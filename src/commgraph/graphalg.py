@@ -21,6 +21,12 @@ set-against-set form is ``_touching``.  ``_bfs`` and the dense matrix
 (``_adjacency``/``_ecc_block``) serve no query: they are the tests' named
 oracles, kept in this module because the benchmark's tracer resolves them by
 name.
+
+Each graph's context (``_graph_context``) and its table with the component
+labels (``_graph_table``) are built on first use and kept per process, at
+most four graphs at a time, with every array read-only.  Every query runs its
+budget and argument checks before it asks for them, and no diameter or
+distance is kept.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple, Optional, Sequence
 
@@ -258,7 +265,8 @@ def _neighbor_csr(ctx: _GraphContext, strategy: str) -> _NeighborCSR:
     index over its conjugates (its orbit representative) and the permutation
     that reaches it; the representatives' rows are found, and every other
     vertex's row is its representative's row mapped back through the inverse
-    of that permutation's table.  Nothing is kept between calls.
+    of that permutation's table.  Nothing is cached here: ``_graph_table``
+    keeps the result per graph.
     """
     V = len(ctx.rows)
     rep = np.arange(V, dtype=np.int32)
@@ -322,6 +330,39 @@ def _label_components(csr: _NeighborCSR) -> tuple[np.ndarray, list[int], list[in
         seeds.append(seed)
         sizes.append(int(members.sum()))
     return labels, seeds, sizes
+
+
+@lru_cache(maxsize=4)
+def _graph_context(g: CommGraph) -> _GraphContext:
+    """The context of ``g`` (keyed by its n and semigroup), built on first use
+    and shared, read-only, by every query on the graph."""
+    ctx = _GraphContext(g)
+    for a in (ctx.rows, ctx.ids):
+        a.flags.writeable = False
+    return ctx
+
+
+class _GraphTable(NamedTuple):
+    """A graph's shared whole-graph structures; every array is read-only."""
+
+    ctx: _GraphContext
+    csr: _NeighborCSR
+    labels: np.ndarray  # int32 component index per vertex
+    seeds: tuple[int, ...]  # the minimum vertex index of each component
+    sizes: tuple[int, ...]
+
+
+@lru_cache(maxsize=4)
+def _graph_table(g: CommGraph, strategy: str) -> _GraphTable:
+    """The orbit neighbour table of ``g`` under a resolved ``strategy``, with
+    its component labels, built on first use and kept per process.  Callers
+    run their budget, seed and strategy checks before asking for it."""
+    ctx = _graph_context(g)
+    csr = _neighbor_csr(ctx, strategy)
+    labels, seeds, sizes = _label_components(csr)
+    for a in (*csr, labels):
+        a.flags.writeable = False
+    return _GraphTable(ctx, csr, labels, tuple(seeds), tuple(sizes))
 
 
 def _meet(ctx: _GraphContext, src: int, tgt: int, cap: int | None, strategy: str):
@@ -401,7 +442,7 @@ def bfs_distance(
             raise NotAVertexError(f"{t!r} is central, not a vertex")
     if a == b:
         return 0
-    ctx = _GraphContext(g)
+    ctx = _graph_context(g)
     src, tgt = ctx.index_of(a), ctx.index_of(b)
     strategy = pick_strategy(g.n, g.semigroup, strategy)
     return _meet(ctx, src, tgt, cap, strategy)[0]
@@ -423,7 +464,7 @@ def shortest_path(
             raise NotAVertexError(f"{t!r} is central, not a vertex")
     if a == b:
         return PathCertificate.from_vertices([a])
-    ctx = _GraphContext(g)
+    ctx = _graph_context(g)
     src, tgt = ctx.index_of(a), ctx.index_of(b)
     strategy = pick_strategy(g.n, g.semigroup, strategy)
     d, levels_a, levels_b = _meet(ctx, src, tgt, None, strategy)
@@ -438,18 +479,16 @@ class ComponentSummary:
     count: int
     sizes: tuple[int, ...]
     representatives: tuple[PTrans, ...]
-    labels: np.ndarray  # int32 component index per vertex, aligned with vertex id order
+    labels: np.ndarray  # int32 component index per vertex in id order; shared, read-only
 
 
 def connected_components(g: CommGraph, strategy: str = "auto") -> ComponentSummary:
     """Partition of the vertex set by reachability; representatives are the
     minimum-id vertices, components ordered by representative."""
     check_scan_budget(g.n, g.semigroup)
-    strategy = pick_strategy(g.n, g.semigroup, strategy)
-    ctx = _GraphContext(g)
-    labels, seeds, sizes = _label_components(_neighbor_csr(ctx, strategy))
-    return ComponentSummary(len(seeds), tuple(sizes), tuple(ctx.ptrans_at(s) for s in seeds),
-                            labels)
+    table = _graph_table(g, pick_strategy(g.n, g.semigroup, strategy))
+    return ComponentSummary(len(table.seeds), table.sizes,
+                            tuple(table.ctx.ptrans_at(s) for s in table.seeds), table.labels)
 
 
 # -- diameter --------------------------------------------------------------------
@@ -511,9 +550,10 @@ def diameter(
 ) -> DiameterReport:
     """Exact diameter, or a certified lower bound from seeds.
 
-    Exact mode builds the orbit neighbour table once and partitions the
-    vertices into components from it; a disconnected graph is reported with
-    its component count and sizes and no diameter.  A connected graph is swept
+    Exact mode reads the graph's orbit neighbour table and component labels,
+    built on the graph's first whole-graph query; a disconnected graph is
+    reported with its component count and sizes and no diameter.  Every call
+    runs its own sweeps: no diameter is kept.  A connected graph is swept
     only from the orbit representatives, since conjugation preserves
     eccentricity; the witness is the smallest vertex of maximum eccentricity
     (always a representative) and the smallest vertex farthest from it.
@@ -530,12 +570,10 @@ def diameter(
                 "pass long_run=True to force it"
             )
         check_scan_budget(g.n, g.semigroup)
-        ctx = _GraphContext(g)
-        csr = _neighbor_csr(ctx, pick_strategy(g.n, g.semigroup, strategy))
-        _, _, sizes = _label_components(csr)
+        ctx, csr, _, _, sizes = _graph_table(g, pick_strategy(g.n, g.semigroup, strategy))
         if len(sizes) > 1:
             return DiameterReport(
-                g.n, g.semigroup, True, None, False, len(sizes), tuple(sizes), None,
+                g.n, g.semigroup, True, None, False, len(sizes), sizes, None,
                 time.perf_counter() - t0,
             )
         ecc, s, t = -1, -1, -1
@@ -544,7 +582,7 @@ def diameter(
             if dist.max() > ecc:
                 ecc, s, t = int(dist.max()), int(r), int(np.flatnonzero(dist == dist.max())[0])
         return DiameterReport(
-            g.n, g.semigroup, True, ecc, True, 1, tuple(sizes),
+            g.n, g.semigroup, True, ecc, True, 1, sizes,
             (ctx.ptrans_at(s), ctx.ptrans_at(t)), time.perf_counter() - t0,
         )
     if mode != "lower-only":
@@ -555,9 +593,7 @@ def diameter(
         if not is_vertex(g, seed):
             raise NotAVertexError(f"{seed!r} is central, not a vertex")
     check_scan_budget(g.n, g.semigroup, long_run=long_run)
-    strategy = pick_strategy(g.n, g.semigroup, strategy)
-    ctx = _GraphContext(g)
-    csr = _neighbor_csr(ctx, strategy)
+    ctx, csr, _, _, _ = _graph_table(g, pick_strategy(g.n, g.semigroup, strategy))
     bound, witness, connected = -1, None, True
     for seed in seeds:
         dist = _sweep(csr, ctx.index_of(seed))

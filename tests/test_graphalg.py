@@ -379,6 +379,81 @@ class TestSweepEngine:
             diameter(CommGraph(7), mode="lower-only", seeds=[seed])
 
 
+def _clear_graph_caches():
+    graphalg._graph_table.cache_clear()
+    graphalg._graph_context.cache_clear()
+
+
+class TestSharedTables:
+    """Each graph's context, table and labels are built once per process and
+    shared read-only; the checks still run on every call."""
+
+    @pytest.mark.parametrize("strategy", ["scan", "backtrack"])
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS, ids=_graph_id)
+    def test_cold_and_warm_cache_agree(self, g, strategy):
+        _clear_graph_caches()
+        cold = _sweep_queries(g, strategy)
+        hits = graphalg._graph_table.cache_info().hits
+        assert _sweep_queries(g, strategy) == cold
+        assert graphalg._graph_table.cache_info().hits == hits + 3
+
+    def test_warm_queries_build_nothing(self, monkeypatch):
+        g = CommGraph(4)
+        _sweep_queries(g, "scan")
+        bfs_distance(g, ALPHA, BETA)
+
+        def refuse(*args):
+            raise AssertionError("a query rebuilt a cached structure")
+
+        monkeypatch.setattr(graphalg, "_GraphContext", refuse)
+        monkeypatch.setattr(graphalg, "_neighbor_csr", refuse)
+        monkeypatch.setattr(graphalg, "_label_components", refuse)
+        _sweep_queries(g, "scan")
+        assert bfs_distance(g, ALPHA, BETA) == 4
+        assert shortest_path(g, ALPHA, BETA).claimed_length == 4
+
+    def test_warm_exact_p5_still_budgeted(self):
+        connected_components(CommGraph(5))
+        with pytest.raises(BudgetExceededError):
+            diameter(CommGraph(5))
+
+    def test_warm_queries_read_a_lowered_budget(self, monkeypatch):
+        g = CommGraph(4)
+        _sweep_queries(g, "scan")
+        monkeypatch.setenv("COMMGRAPH_BUDGET_ELEMS", "100")
+        for query in (lambda: connected_components(g), lambda: diameter(g),
+                      lambda: diameter(g, mode="lower-only", seeds=[ALPHA])):
+            with pytest.raises(BudgetExceededError):
+                query()
+
+    def test_warm_central_seed_rejected(self):
+        g = CommGraph(4)
+        _sweep_queries(g, "scan")
+        for seed in (identity(4), empty(4)):
+            with pytest.raises(NotAVertexError):
+                diameter(g, mode="lower-only", seeds=[ALPHA, seed])
+
+    def test_shared_arrays_are_read_only(self):
+        g = CommGraph(4)
+        labels = connected_components(g).labels
+        assert connected_components(g).labels is labels
+        table = graphalg._graph_table(g, "scan")
+        for array in (labels, table.csr.indptr, table.csr.indices, table.csr.reps,
+                      table.ctx.rows, table.ctx.ids):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cache_size_is_bounded(self):
+        graphs = [CommGraph(n, s) for n in (2, 3, 4) for s in (Universe.ALL_PARTIAL, Universe.FULL)]
+        for cache in (graphalg._graph_table, graphalg._graph_context):
+            assert len(graphs) > cache.cache_info().maxsize
+        for g in graphs:
+            connected_components(g)
+            for cache in (graphalg._graph_table, graphalg._graph_context):
+                info = cache.cache_info()
+                assert info.currsize <= info.maxsize
+
+
 class TestVerifyPath:
     def test_rejects_repeated_interior(self, g4):
         a2 = power(ALPHA, 2)

@@ -301,6 +301,17 @@ class TestReplay:
             assert report.passed and report.lower_bound == 5
             assert step.passed and step.detail == ""
 
+    def test_every_composite_n_to_40(self):
+        # the even family's pair at n = 10 is refuted (see the audit tests)
+        for n in range(4, 41):
+            if is_prime(n):
+                continue
+            report = replay_lower_bound(witness_pair(n))
+            if n == 10:
+                assert not report.passed and report.lower_bound is None
+            else:
+                assert report.passed and report.lower_bound == (4 if n == 4 else 5), n
+
     def test_report_serializes(self):
         d = replay_lower_bound(witness_pair(4)).to_dict()
         assert d["n"] == 4 and d["passed"] is True
